@@ -216,6 +216,12 @@ def _hitrate_run(payload: tuple) -> tuple[int, list[str], bool]:
     return seed, mined, hit
 
 
+def _worker_count(threads: int | None, runs: int) -> int:
+    """Worker processes for `runs` jobs: one per CPU unless `threads` is
+    given, and never more than there are runs."""
+    return min(threads or os.cpu_count() or 1, runs)
+
+
 def cmd_eval_hitrate(args: argparse.Namespace) -> int:
     spec = _parse_spec(args)
     config = _mining_config(args)
@@ -235,8 +241,9 @@ def cmd_eval_hitrate(args: argparse.Namespace) -> int:
     }
     seeds = list(range(args.seed, args.seed + args.runs))
     jobs = [(spec_fields, mining_fields, seed) for seed in seeds]
-    if args.threads > 1:
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
+    workers = _worker_count(args.threads, args.runs)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_hitrate_run, jobs))
     else:
         results = [_hitrate_run(job) for job in jobs]
@@ -366,6 +373,16 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="cossu", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -399,7 +416,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser(
         "eval-hitrate", help="planted-rule recovery over many seeds"
     )
-    sp.add_argument("--runs", type=int, default=20)
+    sp.add_argument("--runs", type=_positive_int, default=20)
     sp.add_argument("--n", type=int, default=5000)
     sp.add_argument("--alphabet", default="A,B,C,D,E")
     sp.add_argument("--dist", default="uniform")
@@ -407,7 +424,9 @@ def build_parser() -> _Parser:
     sp.add_argument("--ip", type=float, default=0.5)
     sp.add_argument("--seed", type=int, default=0, help="base seed")
     sp.add_argument(
-        "--threads", type=int, default=os.cpu_count() or 1
+        "--threads",
+        type=_positive_int,
+        help="worker processes (default: CPU count, at most --runs)",
     )
     sp.add_argument("--out")
     _add_mining_args(sp)

@@ -74,15 +74,22 @@ def weight_code_length(w: float, precision: int) -> float:
     return universal_int_code_length(int(digits[::-1]))
 
 
-def rule_code_length(
-    rule: Rule, f: FrequencyTable, weight: float, precision: int
-) -> float:
-    """Bits for one table entry: antecedent, consequent, then weight."""
+def rule_content_code_length(rule: Rule, f: FrequencyTable) -> float:
+    """Bits for a table entry's symbols: antecedent, then consequent."""
     bits = universal_int_code_length(len(rule.antecedent) + 1)
     bits += sum(f.code_length(sid) for sid in rule.antecedent)
     bits += universal_int_code_length(len(rule.consequent))
     bits += sum(f.code_length(sid) for sid in rule.consequent)
-    return bits + weight_code_length(weight, precision)
+    return bits
+
+
+def rule_code_length(
+    rule: Rule, f: FrequencyTable, weight: float, precision: int
+) -> float:
+    """Bits for one table entry: antecedent, consequent, then weight."""
+    return rule_content_code_length(rule, f) + weight_code_length(
+        weight, precision
+    )
 
 
 @dataclass(frozen=True)
@@ -209,14 +216,20 @@ def predictive_distribution(
 
 
 class SequenceScorer:
-    """Incremental per-position code-length state for one model on one
-    sequence.
+    """Incremental code-length state for one model on one sequence.
 
-    For every position t the scorer tracks the total active weight (den)
-    and the active weight backing the symbol that actually occurs (num);
-    the data bits are sum(log2(den) - log2(num)). Rule activity positions
-    are immutable once built, so clones share them and a weight change
-    touches only the affected positions.
+    Positions are partitioned into classes: two positions share a class
+    when they hold the same symbol and every proper rule is active at them
+    with the same number of stages (q) and of correctly predicting stages
+    (p). All positions of a class then have the same total active weight
+    (den) and the same weight behind the symbol that occurs (num), so the
+    data bits are sum(count * (log2(den) - log2(num))) over the classes,
+    and weight changes and objective calls cost O(classes), not O(n).
+
+    Adding a rule splits the classes its active positions fall in. Removing
+    one leaves the partition as it is, which stays exact, only finer than
+    needed. The class-id array and the per-class rule tables are replaced,
+    never changed in place, so clones share them.
     """
 
     def __init__(self, model: Model, s: Sequence):
@@ -224,70 +237,81 @@ class SequenceScorer:
         self.freq = model.freq
         self.precision = model.precision
         self.s_arr = _aligned_ids(s, model.alphabet)
-        self.n = int(self.s_arr.size)
         self.k = len(model.alphabet)
-        self.rules: list[Rule] = list(model.rules)
-        self.weights = np.array(model.weights, dtype=np.float64)
-        # Singleton activity is implicit (always on, predicting own symbol);
-        # entries are kept aligned with self.rules, None for singletons.
-        self._acts: list[tuple[np.ndarray | None, np.ndarray, np.ndarray] | None]
-        self._acts = [None] * self.k
-        singleton_w = self.weights[: self.k]
-        self.den = np.full(self.n, float(singleton_w.sum()))
-        self.num = singleton_w[self.s_arr].copy()
-        for idx in range(self.k, len(self.rules)):
-            act = self._build_activity(self.rules[idx])
-            self._acts.append(act)
-            self._shift(act, self.weights[idx])
+        self.rules: list[Rule] = list(model.rules[: self.k])
+        self.weights = np.array(model.weights[: self.k], dtype=np.float64)
+        sym, cls = np.unique(self.s_arr, return_inverse=True)
+        self._cls = cls.reshape(-1)
+        self._sym = sym
+        self._count = np.bincount(self._cls, minlength=sym.size).astype(
+            np.float64
+        )
+        self.num = self.weights[sym]
+        self.den = np.full(sym.size, float(self.weights.sum()))
+        # Row r holds proper rule k + r's stage counts per class.
+        self._p = np.zeros((0, sym.size))
+        self._q = np.zeros((0, sym.size))
+        for rule, w in zip(model.rules[self.k :], model.weights[self.k :]):
+            self._append(rule, float(w))
         self._recompute()
 
     # -- construction helpers -------------------------------------------
 
-    def _build_activity(
-        self, rule: Rule
-    ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-        """Positions where the rule is active, with per-position stage
-        counts (q) and correctly-predicting stage counts (p)."""
-        n = self.n
-        qv = np.zeros(n, dtype=np.float64)
-        pv = np.zeros(n, dtype=np.float64)
-        covers_all = False
-        a, c = rule.antecedent, rule.consequent
-        for j in range(len(c)):
-            g = len(a) + j
-            target = c[j]
-            if g == 0:
-                covers_all = True
-                qv += 1.0
-                pv += self.s_arr == target
-                continue
-            ends = _match_end_indices(self.s_arr, a + c[:j])
-            t = ends + 1
-            t = t[t < n]
-            if t.size:
-                qv[t] += 1.0
-                pv[t] += self.s_arr[t] == target
-        if covers_all:
-            return None, pv, qv
-        pos = np.flatnonzero(qv)
-        return pos, pv[pos], qv[pos]
+    def _append(self, rule: Rule, weight: float) -> None:
+        """Add a rule at `weight`, first splitting the classes it touches
+        so that it has one (p, q) throughout each class."""
+        pos, p, q = _rule_activity(self.s_arr, rule)
+        base = len(rule.consequent) + 1  # p <= q < base
+        key = (self._cls[pos] * base + q.astype(np.int64)) * base
+        key += p.astype(np.int64)
+        groups, inverse = np.unique(key, return_inverse=True)
+        inverse = inverse.reshape(-1)
+        size = np.bincount(inverse, minlength=groups.size).astype(np.float64)
+        parent = groups // (base * base)
+        g = self._sym.size
+        covered = np.bincount(parent, weights=size, minlength=g)
+        # The first group of a class that the rule covers entirely keeps
+        # the class id; every other group becomes a new class.
+        first = np.ones(groups.size, dtype=bool)
+        first[1:] = parent[1:] != parent[:-1]
+        keep = first & (covered[parent] == self._count[parent])
+        origin = parent[~keep]
+        ids = parent.copy()
+        ids[~keep] = g + np.arange(origin.size)
+        count = self._count - covered
+        count[parent[keep]] = size[keep]
+        self._count = np.concatenate([count, size[~keep]])
+        self._sym = np.concatenate([self._sym, self._sym[origin]])
+        self.num = np.concatenate([self.num, self.num[origin]])
+        self.den = np.concatenate([self.den, self.den[origin]])
+        self._p = np.concatenate([self._p, self._p[:, origin]], axis=1)
+        self._q = np.concatenate([self._q, self._q[:, origin]], axis=1)
+        cls = self._cls.copy()
+        cls[pos] = ids[inverse]
+        self._cls = cls
 
-    def _shift(
-        self,
-        act: tuple[np.ndarray | None, np.ndarray, np.ndarray],
-        delta: float,
-    ) -> None:
-        pos, p, q = act
-        if pos is None:
-            self.num += delta * p
-            self.den += delta * q
-        elif pos.size:
-            self.num[pos] += delta * p
-            self.den[pos] += delta * q
+        p_new = np.zeros(self._sym.size)
+        q_new = np.zeros(self._sym.size)
+        p_new[ids] = groups % base
+        q_new[ids] = groups // base % base
+        self._p = np.vstack([self._p, p_new])
+        self._q = np.vstack([self._q, q_new])
+        self.rules.append(rule)
+        self.weights = np.append(self.weights, weight)
+        self.num += weight * p_new
+        self.den += weight * q_new
+
+    def _stage_counts(self, index: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per-class (p, q) of rule `index`; a singleton is on everywhere."""
+        if index < self.k:
+            return (self._sym == index).astype(np.float64), np.ones(
+                self._sym.size
+            )
+        return self._p[index - self.k], self._q[index - self.k]
 
     def _recompute(self) -> None:
         self._total = float(
-            np.sum(np.log2(self.den)) - np.sum(np.log2(self.num))
+            self._count @ (np.log2(self.den) - np.log2(self.num))
         )
 
     # -- queries ---------------------------------------------------------
@@ -309,88 +333,65 @@ class SequenceScorer:
         """Data bits as a function of rule `index`'s weight, others fixed.
 
         Returns (objective, current_weight); each objective call costs one
-        pass over the rule's active positions only.
+        pass over the classes where the rule is active.
         """
         w0 = float(self.weights[index])
-        if index < self.k:
-            pos: np.ndarray | None = None
-            p = (self.s_arr == index).astype(np.float64)
-            q: np.ndarray | float = 1.0
-        else:
-            act = self._acts[index]
-            assert act is not None
-            pos, p, q = act
-        if pos is None:
-            base_num, base_den = self.num, self.den
-            rest = 0.0
-        else:
-            if pos.size == 0:
-                total = self._total
-                return (lambda w: total), w0
-            base_num = self.num[pos]
-            base_den = self.den[pos]
-            rest = self._total - float(
-                np.sum(np.log2(base_den)) - np.sum(np.log2(base_num))
-            )
+        p, q = self._stage_counts(index)
+        on = np.flatnonzero(q)
+        if on.size == 0:
+            total = self._total
+            return (lambda w: total), w0
+        count, p, q = self._count[on], p[on], q[on]
+        base_num, base_den = self.num[on], self.den[on]
+        rest = self._total - float(
+            count @ (np.log2(base_den) - np.log2(base_num))
+        )
 
         def objective(w: float) -> float:
             d = w - w0
-            nn = base_num + d * p
-            dd = base_den + d * q
-            return rest + float(np.sum(np.log2(dd)) - np.sum(np.log2(nn)))
+            return rest + float(
+                count @ (np.log2(base_den + d * q) - np.log2(base_num + d * p))
+            )
 
         return objective, w0
 
     # -- mutations --------------------------------------------------------
 
+    def _shift(self, index: int, delta: float) -> None:
+        p, q = self._stage_counts(index)
+        self.num += delta * p
+        self.den += delta * q
+
     def set_weight(self, index: int, w: float) -> None:
         delta = float(w) - float(self.weights[index])
         if delta == 0.0:
             return
-        if index < self.k:
-            sid = index
-            self.num += delta * (self.s_arr == sid)
-            self.den += delta
-        else:
-            act = self._acts[index]
-            assert act is not None
-            self._shift(act, delta)
+        self._shift(index, delta)
         self.weights[index] = float(w)
         self._recompute()
 
     def add_rule(self, rule: Rule, weight: float) -> None:
-        act = self._build_activity(rule)
-        self.rules.append(rule)
-        self._acts.append(act)
-        self.weights = np.append(self.weights, float(weight))
-        self._shift(act, float(weight))
+        self._append(rule, float(weight))
         self._recompute()
 
     def remove_rule(self, index: int) -> None:
         if index < self.k:
             raise ValueError("singleton rules cannot be removed")
-        act = self._acts[index]
-        assert act is not None
-        self._shift(act, -float(self.weights[index]))
+        self._shift(index, -float(self.weights[index]))
         del self.rules[index]
-        del self._acts[index]
         self.weights = np.delete(self.weights, index)
+        self._p = np.delete(self._p, index - self.k, axis=0)
+        self._q = np.delete(self._q, index - self.k, axis=0)
         self._recompute()
 
     def clone(self) -> "SequenceScorer":
         twin = object.__new__(SequenceScorer)
-        twin.alphabet = self.alphabet
-        twin.freq = self.freq
-        twin.precision = self.precision
-        twin.s_arr = self.s_arr
-        twin.n = self.n
-        twin.k = self.k
+        twin.__dict__.update(self.__dict__)
+        # Arrays replaced on every split are shared; these change in place.
         twin.rules = list(self.rules)
         twin.weights = self.weights.copy()
-        twin._acts = list(self._acts)  # activity tuples are never mutated
         twin.num = self.num.copy()
         twin.den = self.den.copy()
-        twin._total = self._total
         return twin
 
 
@@ -406,15 +407,58 @@ def _match_end_indices(arr: np.ndarray, pattern: tuple[int, ...]) -> np.ndarray:
     return np.flatnonzero(hits) + (m - 1)
 
 
+def _rule_activity(
+    ids: np.ndarray, rule: Rule
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where a rule is active in ids: sorted positions, with the number of
+    stages active there (q) and of those predicting the symbol that occurs
+    (p), both as floats.
+
+    Stage j is active at position t when antecedent plus the first j
+    consequent symbols end at t - 1; an empty prefix is active everywhere.
+    """
+    n = ids.size
+    a, c = rule.antecedent, rule.consequent
+    hits = []
+    for j in range(len(c)):
+        if len(a) + j == 0:
+            t = np.arange(n)
+        else:
+            t = _match_end_indices(ids, a + c[:j]) + 1
+            t = t[t < n]
+        hits.append((t, ids[t] == c[j]))
+    if len(hits) == 1:
+        t, good = hits[0]
+        return t, good.astype(np.float64), np.ones(t.size)
+    t = np.concatenate([h[0] for h in hits])
+    good = np.concatenate([h[1] for h in hits])
+    pos, inverse = np.unique(t, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    q = np.bincount(inverse, minlength=pos.size).astype(np.float64)
+    p = np.bincount(inverse, weights=good, minlength=pos.size)
+    return pos, p, q
+
+
 def data_code_length(m: Model, s: Sequence) -> float:
     """Bits to transmit s element by element under the model.
 
     Position t is charged -log2 of the probability the model assigns to
-    s[t] given s[1, t-1]; the first element sees the empty history.
+    s[t] given s[1, t-1]; the first element sees the empty history. One
+    pass per rule over its active positions: building SequenceScorer's
+    classes would cost more than a single evaluation saves.
     """
     if len(s) == 0:
         return 0.0
-    return SequenceScorer(m, s).data_bits
+    ids = _aligned_ids(s, m.alphabet)
+    k = len(m.alphabet)
+    singleton_w = np.array(m.weights[:k], dtype=np.float64)
+    den = np.full(ids.size, float(singleton_w.sum()))
+    num = singleton_w[ids]
+    for rule, w in zip(m.rules[k:], m.weights[k:]):
+        pos, p, q = _rule_activity(ids, rule)
+        num[pos] += w * p
+        den[pos] += w * q
+    return float(np.sum(np.log2(den)) - np.sum(np.log2(num)))
 
 
 def total_dl(m: Model, s: Sequence) -> DLReport:

@@ -75,6 +75,9 @@ def model_to_json(m: Model) -> str:
     return json.dumps(model_to_dict(m), indent=2, ensure_ascii=False) + "\n"
 
 
+_RULE_FIELDS = ("antecedent", "consequent", "weight")
+
+
 def model_from_dict(obj: dict) -> Model:
     try:
         tokens = obj["alphabet"]
@@ -94,6 +97,15 @@ def model_from_dict(obj: dict) -> Model:
     rules = []
     weights = []
     for entry in raw_rules:
+        if not isinstance(entry, dict):
+            raise ValueError(
+                f"malformed model: rule entry is not an object: {entry!r}"
+            )
+        missing = [f for f in _RULE_FIELDS if f not in entry]
+        if missing:
+            raise ValueError(
+                f"malformed model: rule entry lacks {', '.join(missing)}"
+            )
         rules.append(
             Rule.from_tokens(alphabet, entry["antecedent"], entry["consequent"])
         )

@@ -17,6 +17,7 @@ from .encoding import (
     Model,
     SequenceScorer,
     quantize_weight,
+    rule_content_code_length,
     universal_int_code_length,
     weight_code_length,
 )
@@ -66,10 +67,7 @@ class _TableBits:
     def _content_bits(self, rule: Rule) -> float:
         bits = self._content.get(rule)
         if bits is None:
-            bits = universal_int_code_length(len(rule.antecedent) + 1)
-            bits += sum(self.freq.code_length(i) for i in rule.antecedent)
-            bits += universal_int_code_length(len(rule.consequent))
-            bits += sum(self.freq.code_length(i) for i in rule.consequent)
+            bits = rule_content_code_length(rule, self.freq)
             self._content[rule] = bits
         return bits
 

@@ -28,14 +28,18 @@ from cossu import (
     hit_rate,
     matches_ending_at,
     mine_closed,
+    model_code_length,
     model_to_json,
+    normalize_weights,
     predictive_distribution,
+    quantize_weights,
     rule_support_confidence,
     singleton_rules,
     synth_generate,
     train_classifier,
     universal_int_code_length,
 )
+from cossu import selector
 from cossu.encoding import SequenceScorer
 from cossu.evaluation import UniformPredictor
 from cossu.optimize import OptimizerConfig, coordinate_step
@@ -182,10 +186,36 @@ class TestPropertySuite:
                 bits = scorer.data_bits
         _report("optimizer coordinate steps never increase data bits")
 
-    def test_selector_incumbent_monotone(self):
+    def test_selector_incumbent_monotone(self, monkeypatch):
         seq, _ = synth_generate(SyntheticSpec(seed=31, length=3000))
+        # Each candidate or prune total is the table price of the last
+        # scorer priced plus its data bits; rebuild both from its model.
+        priced = []
+        table_bits = selector._TableBits.__call__
+
+        def remember(self, scorer):
+            priced[:] = [scorer]
+            return table_bits(self, scorer)
+
+        monkeypatch.setattr(selector._TableBits, "__call__", remember)
         events = []
-        cossu_mine(seq, trace=events.append)
+        rebuilt = 0
+
+        def observe(e):
+            nonlocal rebuilt
+            events.append(e)
+            if e["event"] not in ("candidate", "prune"):
+                return
+            m = priced[0].model()
+            scratch = model_code_length(
+                quantize_weights(normalize_weights(m))
+            ) + data_code_length(m, seq)
+            total = e["tentative"] if e["event"] == "candidate" else e["total"]
+            assert total == pytest.approx(scratch, rel=1e-9)
+            rebuilt += 1
+
+        cossu_mine(seq, trace=observe)
+        assert rebuilt > 0
         incumbent = None
         steps = 0
         for e in events:
@@ -200,7 +230,10 @@ class TestPropertySuite:
                 incumbent = e["total"]
                 steps += 1
         assert incumbent is not None
-        _report("selector incumbent is monotone", f"{steps} accepted steps")
+        _report(
+            "selector incumbent is monotone",
+            f"{steps} accepted steps, {rebuilt} totals rebuilt from scratch",
+        )
 
     def test_determinism_byte_identical(self):
         seq, _ = synth_generate(SyntheticSpec(seed=32, length=3000))

@@ -1,15 +1,19 @@
 import json
 import math
+import os
 
 import pytest
 
 from cossu import (
+    Model,
+    frequencies,
     load_model,
+    model_to_dict,
     model_to_json,
     read_sequence,
     total_dl,
 )
-from cossu.cli import main
+from cossu.cli import _worker_count, build_parser, main
 
 
 def run(capsys, *argv):
@@ -109,6 +113,23 @@ class TestMineScore:
         )
         assert code == 2
         assert "malformed JSON" in err
+
+    @pytest.mark.parametrize(
+        "entry",
+        [{"consequent": ["B"], "weight": "0.5000"}, "A -> B"],
+        ids=["missing-antecedent", "not-an-object"],
+    )
+    def test_malformed_rule_entry(self, capsys, tmp_path, synth_file, entry):
+        seq_path, _ = synth_file
+        obj = model_to_dict(Model.empty(frequencies(read_sequence(seq_path))))
+        obj["rules"].append(entry)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        code, _, err = run(
+            capsys, "score", "--model", str(bad), "--seq", str(seq_path)
+        )
+        assert code == 2
+        assert "malformed model" in err
 
     def test_score_unknown_symbol(self, capsys, tmp_path, synth_file):
         seq_path, _ = synth_file
@@ -218,6 +239,25 @@ class TestEvalHitrate:
         text = out.read_text()
         assert text.startswith("seed,mined_rules,hit")
         assert "# hit_rate=" in text
+
+
+    def test_threads_default_and_clamp(self):
+        parser = build_parser()
+
+        def workers(*argv):
+            args = parser.parse_args(["eval-hitrate", *argv])
+            return _worker_count(args.threads, args.runs)
+
+        assert workers("--runs", "1") == 1
+        assert workers("--runs", "64") == min(os.cpu_count() or 1, 64)
+        assert workers("--runs", "3", "--threads", "8") == 3
+        assert workers("--runs", "8", "--threads", "2") == 2
+
+    @pytest.mark.parametrize("value", ["0", "-3", "two"])
+    def test_threads_below_one_is_usage_error(self, capsys, value):
+        code, _, err = run(capsys, "eval-hitrate", "--threads", value)
+        assert code == 1
+        assert "--threads" in err
 
 
 class TestPredictCommand:

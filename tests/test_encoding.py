@@ -333,6 +333,60 @@ class TestScorer:
         assert twin.data_bits != before
 
 
+_STEPS = st.sampled_from(["add", "set", "remove", "clone", "back"])
+_WEIGHTS = st.floats(0.05, 20.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(0, 2), min_size=1, max_size=40), st.data())
+def test_scorer_steps_match_rebuild(ids, data):
+    """Every incremental step agrees with a from-scratch evaluation, and a
+    clone's steps never show in the scorer it was cloned from."""
+    s = Sequence(Alphabet(["a", "b", "c"]), tuple(ids))
+    scorer = SequenceScorer(Model.empty(frequencies(s)), s)
+    k = scorer.k
+    sources = []  # (scorer, its model, its data bits) when it was cloned
+    for _ in range(data.draw(st.integers(1, 12))):
+        step = data.draw(_STEPS)
+        if step == "add":
+            a = data.draw(st.lists(st.integers(0, 2), max_size=2))
+            c = data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
+            rule = Rule(tuple(a), tuple(c))
+            if rule.is_singleton or rule in scorer.rules:
+                continue
+            scorer.add_rule(rule, data.draw(_WEIGHTS))
+        elif step == "set":
+            index = data.draw(st.integers(0, len(scorer.rules) - 1))
+            scorer.set_weight(index, data.draw(_WEIGHTS))
+        elif step == "remove":
+            if len(scorer.rules) == k:
+                continue
+            scorer.remove_rule(
+                data.draw(st.integers(k, len(scorer.rules) - 1))
+            )
+        elif step == "clone":
+            sources.append((scorer, scorer.model(), scorer.data_bits))
+            scorer = scorer.clone()
+        elif sources:  # back: drop the clone, as a rejected candidate is
+            scorer = sources.pop()[0]
+        for source, model, bits in sources:
+            assert source.model() == model
+            assert source.data_bits == bits
+        assert scorer.data_bits == pytest.approx(
+            data_code_length(scorer.model(), s), abs=1e-9
+        )
+        index = data.draw(st.integers(0, len(scorer.rules) - 1))
+        w = data.draw(_WEIGHTS)
+        objective, w0 = scorer.weight_objective(index)
+        assert w0 == scorer.weights[index]
+        weights = list(scorer.weights)
+        weights[index] = w
+        moved = scorer.model().with_weights(weights)
+        assert objective(w) == pytest.approx(
+            data_code_length(moved, s), abs=1e-9
+        )
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.integers(0, 3), min_size=1, max_size=50),
