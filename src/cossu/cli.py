@@ -262,30 +262,52 @@ def cmd_eval_hitrate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_taus(text: str) -> tuple[float, ...]:
-    if ":" in text:
+#: Most thresholds a `--tau-grid` range may list.
+MAX_TAUS = 10_000
+
+
+def _tau(text: str) -> float:
+    tau = float(text)
+    if not 0.0 <= tau <= 1.0:
+        raise argparse.ArgumentTypeError(f"threshold outside [0, 1]: {text}")
+    return tau
+
+
+def _tau_grid(text: str) -> tuple[float, ...]:
+    """`lo:hi:step` or a comma list of thresholds, each inside [0, 1]."""
+    try:
+        if ":" not in text:
+            return tuple(_tau(x) for x in text.split(","))
         lo_text, hi_text, step_text = text.split(":")
-        lo, hi, step = float(lo_text), float(hi_text), float(step_text)
-        taus = []
-        t = lo
-        while t <= hi + 1e-12:
-            taus.append(round(t, 10))
-            t += step
-        return tuple(taus)
-    return tuple(float(x) for x in text.split(","))
+        lo, hi, step = _tau(lo_text), _tau(hi_text), float(step_text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected lo:hi:step or a comma list of numbers, got {text!r}"
+        ) from None
+    if not step > 0.0:
+        raise argparse.ArgumentTypeError(f"step must be positive, got {text!r}")
+    taus = []
+    t = lo
+    while t <= hi + 1e-12:
+        if len(taus) == MAX_TAUS:
+            raise argparse.ArgumentTypeError(
+                f"more than {MAX_TAUS} thresholds in {text!r}"
+            )
+        taus.append(round(t, 10))
+        t += step
+    return tuple(taus)
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
     model = model_io.load_model(args.model)
     test = model_io.read_sequence(args.test, args.char_mode, model.alphabet)
-    taus = _parse_taus(args.tau_grid)
-    outcomes = {"cossu": evaluate_prediction(model, test, taus)}
+    outcomes = {"cossu": evaluate_prediction(model, test, args.tau_grid)}
     if args.train:
         train = model_io.read_sequence(
             args.train, args.char_mode, model.alphabet
         )
         outcomes["bigram"] = evaluate_prediction(
-            bigram_baseline(train), test, taus
+            bigram_baseline(train), test, args.tau_grid
         )
     stream = _out_stream(args.out)
     try:
@@ -436,7 +458,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--model", required=True)
     sp.add_argument("--test", required=True)
     sp.add_argument("--train", help="adds the bigram baseline")
-    sp.add_argument("--tau-grid", default="0:0.95:0.05")
+    sp.add_argument("--tau-grid", type=_tau_grid, default="0:0.95:0.05")
     sp.add_argument("--char-mode", action="store_true")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_predict)

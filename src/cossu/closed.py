@@ -6,14 +6,12 @@ keeps its support (support is antitone along extension chains, so checking
 one-step extensions decides closedness against all longer supersequences).
 Patterns at the length cap have no in-cap extension and count as closed.
 
-Two interchangeable engines:
-
-- a brute-force window counter, quadratic-ish but simple, used as the
-  oracle in tests and as the default for short inputs;
-- a suffix-array walk over LCP intervals: branching interval labels are
-  exactly the right-maximal repeats, and a left-context diversity check
-  (precomputed from the preceding-symbol array) filters the left-extensible
-  ones in O(1) per node.
+Mining walks a suffix array over its LCP intervals: branching interval
+labels are exactly the right-maximal repeats, and a left-context diversity
+check (precomputed from the preceding-symbol array) filters the
+left-extensible ones in O(1) per node. A brute-force window counter,
+quadratic-ish but simple, is kept only as the oracle that tests compare the
+suffix walk against (`method="brute"`).
 """
 
 from __future__ import annotations
@@ -24,8 +22,6 @@ from typing import Iterable
 import numpy as np
 
 from .sequence import Sequence
-
-BRUTE_FORCE_LIMIT = 1000
 
 
 @dataclass(frozen=True)
@@ -38,22 +34,20 @@ def mine_closed(
     s: Sequence,
     minsup: int = 2,
     max_pattern_len: int = 20,
-    method: str = "auto",
+    method: str = "suffix",
 ) -> list[ClosedPattern]:
     """All closed frequent patterns of s, in deterministic order.
 
     Output is sorted by descending support, then pattern length, then
-    canonical (id-tuple) order.
+    canonical (id-tuple) order. `method="brute"` selects the test oracle,
+    which must return the same list.
     """
-    n = len(s)
-    if n == 0:
+    if len(s) == 0:
         raise ValueError("empty input")
     if minsup < 2:
         raise ValueError("minsup must be at least 2")
     if max_pattern_len < 1:
         raise ValueError("max_pattern_len must be at least 1")
-    if method == "auto":
-        method = "brute" if n <= BRUTE_FORCE_LIMIT else "suffix"
     if method == "brute":
         found = _mine_brute(s.ids, minsup, max_pattern_len)
     elif method == "suffix":

@@ -11,17 +11,29 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .rules import Rule, singleton_rules
-from .sequence import Alphabet, FrequencyTable, Sequence
+from .rules import Rule, active_matches, singleton_rules
+from .sequence import Alphabet, FrequencyTable, Sequence, match_ends
 
 #: Normalizer making the log-star code satisfy the Kraft inequality.
 UNIVERSAL_CODE_CONSTANT = 2.865064
 
 _LOG2_C0 = math.log2(UNIVERSAL_CODE_CONSTANT)
+
+#: Most weight decimals: a float64 holds no more significant digits, and
+#: every weight is formatted to this many places, so a larger value in a
+#: model file would cost memory without describing any weight better.
+MAX_PRECISION = 17
+
+
+def _check_precision(precision: int) -> None:
+    if not 1 <= precision <= MAX_PRECISION:
+        raise ValueError(
+            f"precision must lie in [1, {MAX_PRECISION}], got {precision}"
+        )
 
 
 def log2_star(z: float) -> float:
@@ -43,8 +55,7 @@ def universal_int_code_length(z: int) -> float:
 
 def quantize_weight(w: float, precision: int) -> float:
     """Round w to the given number of decimals, clamped into (0, 1)."""
-    if precision < 1:
-        raise ValueError("precision must be at least 1")
+    _check_precision(precision)
     q = float(f"{w:.{precision}f}")
     step = 10.0**-precision
     if q <= 0.0:
@@ -125,8 +136,7 @@ class Model:
             raise ValueError("frequency table alphabet mismatch")
         if len(self.rules) != len(self.weights):
             raise ValueError("one weight per rule required")
-        if self.precision < 1:
-            raise ValueError("precision must be at least 1")
+        _check_precision(self.precision)
         k = len(self.alphabet)
         expected = singleton_rules(self.alphabet)
         if self.rules[:k] != expected:
@@ -176,21 +186,7 @@ def model_code_length(m: Model) -> float:
 
 def _aligned_ids(s: Sequence, alphabet: Alphabet) -> np.ndarray:
     """Sequence ids re-expressed in the model alphabet."""
-    if s.alphabet == alphabet:
-        return np.asarray(s.ids, dtype=np.int64)
-    return np.asarray(
-        [alphabet.id_of(t) for t in s.tokens], dtype=np.int64
-    )
-
-
-def _history_ids(
-    history: Sequence | tuple[int, ...], alphabet: Alphabet
-) -> tuple[int, ...]:
-    if isinstance(history, Sequence):
-        if history.alphabet == alphabet:
-            return history.ids
-        return tuple(alphabet.id_of(t) for t in history.tokens)
-    return tuple(history)
+    return np.asarray(s.reindexed(alphabet).ids, dtype=np.int64)
 
 
 def predictive_distribution(
@@ -200,18 +196,16 @@ def predictive_distribution(
 
     Sums the weights of the active (rule, stage) pairs per predicted
     symbol and divides by the total active weight. Singletons keep every
-    entry strictly positive.
+    entry strictly positive. One history at a time: tests use it as the
+    reference for `position_distributions` and `data_code_length`.
     """
-    hist = _history_ids(history, m.alphabet)
+    if isinstance(history, Sequence):
+        history = history.reindexed(m.alphabet)
     k = len(m.alphabet)
     mass = np.array(m.weights[:k], dtype=np.float64)
-    hl = len(hist)
-    for rule, w in zip(m.rules[k:], m.weights[k:]):
-        a, c = rule.antecedent, rule.consequent
-        for j in range(len(c)):
-            g = len(a) + j
-            if g == 0 or (g <= hl and hist[hl - g :] == a + c[:j]):
-                mass[c[j]] += w
+    weight = dict(zip(m.rules[k:], m.weights[k:]))
+    for match in active_matches(m.rules[k:], history):
+        mass[match.predicted] += weight[match.rule]
     return mass / mass.sum()
 
 
@@ -395,16 +389,24 @@ class SequenceScorer:
         return twin
 
 
-def _match_end_indices(arr: np.ndarray, pattern: tuple[int, ...]) -> np.ndarray:
-    """0-based end indices of all matches of the pattern in arr."""
-    m = len(pattern)
-    n = arr.size
-    if m == 0 or m > n:
-        return np.empty(0, dtype=np.int64)
-    hits = arr[: n - m + 1] == pattern[0]
-    for off in range(1, m):
-        hits = hits & (arr[off : n - m + 1 + off] == pattern[off])
-    return np.flatnonzero(hits) + (m - 1)
+def _stage_activity(
+    ids: np.ndarray, rule: Rule
+) -> Iterator[tuple[np.ndarray, int]]:
+    """Per consequent stage of the rule: the sorted positions of ids where
+    the stage is active, and the symbol it predicts there.
+
+    Stage j is active at position t when antecedent plus the first j
+    consequent symbols end at t - 1; an empty prefix is active everywhere.
+    """
+    n = ids.size
+    a, c = rule.antecedent, rule.consequent
+    for j in range(len(c)):
+        if len(a) + j == 0:
+            t = np.arange(n)
+        else:
+            t = match_ends(ids, a + c[:j]) + 1
+            t = t[t < n]
+        yield t, c[j]
 
 
 def _rule_activity(
@@ -413,20 +415,8 @@ def _rule_activity(
     """Where a rule is active in ids: sorted positions, with the number of
     stages active there (q) and of those predicting the symbol that occurs
     (p), both as floats.
-
-    Stage j is active at position t when antecedent plus the first j
-    consequent symbols end at t - 1; an empty prefix is active everywhere.
     """
-    n = ids.size
-    a, c = rule.antecedent, rule.consequent
-    hits = []
-    for j in range(len(c)):
-        if len(a) + j == 0:
-            t = np.arange(n)
-        else:
-            t = _match_end_indices(ids, a + c[:j]) + 1
-            t = t[t < n]
-        hits.append((t, ids[t] == c[j]))
+    hits = [(t, ids[t] == sym) for t, sym in _stage_activity(ids, rule)]
     if len(hits) == 1:
         t, good = hits[0]
         return t, good.astype(np.float64), np.ones(t.size)
@@ -473,20 +463,10 @@ def position_distributions(m: Model, s: Sequence) -> np.ndarray:
     i.e. what the model would predict just before seeing s[t].
     """
     ids = _aligned_ids(s, m.alphabet)
-    n = ids.size
     k = len(m.alphabet)
-    mass = np.tile(np.array(m.weights[:k], dtype=np.float64), (n, 1))
+    mass = np.tile(np.array(m.weights[:k], dtype=np.float64), (ids.size, 1))
     for rule, w in zip(m.rules[k:], m.weights[k:]):
-        a, c = rule.antecedent, rule.consequent
-        for j in range(len(c)):
-            g = len(a) + j
-            target = c[j]
-            if g == 0:
-                mass[:, target] += w
-                continue
-            ends = _match_end_indices(ids, a + c[:j])
-            t = ends + 1
-            t = t[t < n]
-            if t.size:
-                mass[t, target] += w
-    return mass / mass.sum(axis=1, keepdims=True)
+        for t, sym in _stage_activity(ids, rule):
+            mass[t, sym] += w
+    mass /= mass.sum(axis=1, keepdims=True)
+    return mass

@@ -11,14 +11,13 @@ import numpy as np
 from .encoding import (
     Model,
     _aligned_ids,
-    _match_end_indices,
     data_code_length,
     position_distributions,
     predictive_distribution,
 )
 from .rules import Rule
 from .selector import MiningConfig, cossu_mine
-from .sequence import Alphabet, Sequence
+from .sequence import Alphabet, Sequence, match_ends
 
 DEFAULT_TAUS = tuple(round(0.05 * i, 2) for i in range(20))
 
@@ -85,7 +84,7 @@ def synth_generate(spec: SyntheticSpec) -> tuple[Sequence, tuple[Rule, ...]]:
     for rule in targets:
         ant = rule.antecedent
         if ant:
-            ends = _match_end_indices(base, ant)
+            ends = match_ends(base, ant)
         else:
             ends = np.arange(spec.length)
         for e in ends:
@@ -230,10 +229,9 @@ def evaluate_prediction(
     """
     if isinstance(predictor, Model):
         dists = position_distributions(predictor, test)
-        truth = _aligned_ids(test, predictor.alphabet)
     else:
         dists = predictor.position_distributions(test)
-        truth = _aligned_ids(test, predictor.alphabet)
+    truth = _aligned_ids(test, predictor.alphabet)
     n = truth.size
     if n == 0:
         raise ValueError("empty input")

@@ -78,22 +78,44 @@ def model_to_json(m: Model) -> str:
 _RULE_FIELDS = ("antecedent", "consequent", "weight")
 
 
+def _tokens(value: object, what: str) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(t, str) for t in value):
+        raise ValueError(f"malformed model: {what} is not a list of tokens")
+    return value
+
+
+def _number(kind: type, value: object, what: str):
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(
+            f"malformed model: {what} is not a number: {value!r}"
+        ) from None
+
+
 def model_from_dict(obj: dict) -> Model:
     try:
         tokens = obj["alphabet"]
         counts_by_token = obj["frequencies"]
-        n = int(obj["n"])
-        precision = int(obj["precision"])
+        n = obj["n"]
+        precision = obj["precision"]
         raw_rules = obj["rules"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed model: missing field {exc}") from None
-    alphabet = Alphabet(tokens)
+    alphabet = Alphabet(_tokens(tokens, "alphabet"))
     if list(alphabet.tokens) != list(tokens):
         raise ValueError("malformed model: alphabet not in canonical order")
+    if not isinstance(counts_by_token, dict):
+        raise ValueError("malformed model: frequencies is not an object")
+    if not isinstance(raw_rules, list):
+        raise ValueError("malformed model: rules is not a list")
     counts = [0] * len(alphabet)
     for token, count in counts_by_token.items():
-        counts[alphabet.id_of(token)] = int(count)
-    freq = FrequencyTable(alphabet, counts, n)
+        counts[alphabet.id_of(token)] = _number(int, count, f"count of {token!r}")
+    try:
+        freq = FrequencyTable(alphabet, counts, _number(int, n, "n"))
+    except OverflowError:
+        raise ValueError("malformed model: counts beyond float range") from None
     rules = []
     weights = []
     for entry in raw_rules:
@@ -106,10 +128,11 @@ def model_from_dict(obj: dict) -> Model:
             raise ValueError(
                 f"malformed model: rule entry lacks {', '.join(missing)}"
             )
-        rules.append(
-            Rule.from_tokens(alphabet, entry["antecedent"], entry["consequent"])
-        )
-        weights.append(float(entry["weight"]))
+        ant = _tokens(entry["antecedent"], "rule antecedent")
+        cons = _tokens(entry["consequent"], "rule consequent")
+        rules.append(Rule.from_tokens(alphabet, ant, cons))
+        weights.append(_number(float, entry["weight"], "rule weight"))
+    precision = _number(int, precision, "precision")
     return Model(alphabet, freq, tuple(rules), tuple(weights), precision)
 
 

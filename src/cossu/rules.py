@@ -12,8 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from .closed import ClosedPattern, window_counts
-from .sequence import Alphabet, FrequencyTable, Sequence, matches_ending_at
+from .sequence import Alphabet, FrequencyTable, Sequence, match_ends
 
 EMPTY_ANTECEDENT_MARK = "∅"
 
@@ -103,36 +105,20 @@ def triggers_at(rule: Rule, s: Sequence, i: int) -> bool:
     return s.ids[i - len(a) : i] == a
 
 
-def _applies_from(s: Sequence, start: int, consequent: tuple[int, ...]) -> bool:
-    """Whether the consequent matches starting at 1-based position start."""
-    end = start - 1 + len(consequent)
-    return end <= len(s) and s.ids[start - 1 : end] == consequent
-
-
 def rule_support_confidence(rule: Rule, s: Sequence) -> tuple[int, float]:
     """Rule support and confidence on s.
 
-    Support counts positions where the rule applies; confidence divides by
-    the trigger count. Empty antecedents trigger at each of the n
-    boundaries that precede a potential consequent start.
+    Support counts positions where the rule applies, i.e. the matches of
+    antecedent plus consequent; confidence divides by the trigger count.
+    Empty antecedents trigger at each of the n boundaries that precede a
+    potential consequent start.
     """
     if len(s) == 0:
         raise ValueError("empty input")
     n = len(s)
-    if rule.antecedent:
-        pattern = Sequence(s.alphabet, rule.antecedent)
-        trigger_ends = matches_ending_at(pattern, s)
-        triggers = len(trigger_ends)
-        applies = sum(
-            1 for i in trigger_ends if _applies_from(s, i + 1, rule.consequent)
-        )
-    else:
-        triggers = n
-        applies = sum(
-            1
-            for i in range(0, n)
-            if _applies_from(s, i + 1, rule.consequent)
-        )
+    arr = np.asarray(s.ids, dtype=np.int64)
+    applies = match_ends(arr, rule.antecedent + rule.consequent).size
+    triggers = match_ends(arr, rule.antecedent).size if rule.antecedent else n
     confidence = applies / triggers if triggers else 0.0
     return applies, confidence
 
@@ -145,6 +131,9 @@ def active_matches(
     A rule with consequent length c can be active at up to c stages at
     once; stage j predicts consequent symbol j+1. Singleton rules are
     active at stage 0 for every history, including the empty one.
+
+    This per-history check is the reference that tests compare the
+    vectorised stage scan (`encoding._stage_activity`) against.
     """
     hist = history.ids if isinstance(history, Sequence) else tuple(history)
     m = len(hist)

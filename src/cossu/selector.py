@@ -16,6 +16,7 @@ from .closed import mine_closed
 from .encoding import (
     Model,
     SequenceScorer,
+    _check_precision,
     quantize_weight,
     rule_content_code_length,
     universal_int_code_length,
@@ -47,8 +48,7 @@ class MiningConfig:
             raise ValueError("minsup must be at least 2")
         if self.max_pattern_len < 1:
             raise ValueError("max_pattern_len must be at least 1")
-        if self.precision < 1:
-            raise ValueError("precision must be at least 1")
+        _check_precision(self.precision)
 
 
 class _TableBits:

@@ -1,7 +1,8 @@
 """Symbols, alphabets, sequences and contiguous-match primitives.
 
 Positions in the public API are 1-based; the internal representation is a
-plain tuple of interned integer ids.
+plain tuple of interned integer ids. `match_ends` is the one contiguous-match
+scan: every match, trigger and rule-activity computation goes through it.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -122,44 +125,40 @@ class Sequence:
     def reindexed(self, alphabet: Alphabet) -> "Sequence":
         """The same token run interned against another alphabet."""
         if alphabet == self.alphabet:
-            return Sequence(alphabet, self.ids)
+            return self
         return Sequence.from_tokens(alphabet, self.tokens)
 
 
-def _pattern_ids(pattern: Sequence, s: Sequence) -> tuple[int, ...] | None:
-    """Pattern ids expressed in s's alphabet; None when a token cannot occur."""
-    if pattern.alphabet == s.alphabet:
-        return pattern.ids
-    out = []
-    for tok in pattern.tokens:
-        if tok not in s.alphabet:
-            return None
-        out.append(s.alphabet.id_of(tok))
-    return tuple(out)
+def match_ends(arr: np.ndarray, pattern: tuple[int, ...]) -> np.ndarray:
+    """0-based end indices of all contiguous matches of the pattern in arr.
+
+    Matches may overlap. An empty pattern, or one longer than arr, has none.
+    """
+    m = len(pattern)
+    n = arr.size
+    if m == 0 or m > n:
+        return np.empty(0, dtype=np.int64)
+    hits = arr[: n - m + 1] == pattern[0]
+    for off in range(1, m):
+        hits &= arr[off : n - m + 1 + off] == pattern[off]
+    return np.flatnonzero(hits) + (m - 1)
 
 
 def matches_ending_at(pattern: Sequence, s: Sequence) -> list[int]:
     """All 1-based positions j such that s[j-|p|+1, j] equals the pattern."""
     if len(pattern) == 0:
         raise ValueError("empty pattern")
-    pat = _pattern_ids(pattern, s)
-    if pat is None:
+    try:
+        pat = pattern.reindexed(s.alphabet).ids
+    except ValueError:  # a token s's alphabet lacks cannot occur in s
         return []
-    data = s.ids
-    n, m = len(data), len(pat)
-    return [j for j in range(m, n + 1) if data[j - m : j] == pat]
+    return (match_ends(np.asarray(s.ids, dtype=np.int64), pat) + 1).tolist()
 
 
 def matches_starting_at(pattern: Sequence, s: Sequence) -> list[int]:
     """All 1-based positions i such that s[i, i+|p|-1] equals the pattern."""
-    if len(pattern) == 0:
-        raise ValueError("empty pattern")
-    pat = _pattern_ids(pattern, s)
-    if pat is None:
-        return []
-    data = s.ids
-    n, m = len(data), len(pat)
-    return [i for i in range(1, n - m + 2) if data[i - 1 : i - 1 + m] == pat]
+    m = len(pattern)
+    return [j - m + 1 for j in matches_ending_at(pattern, s)]
 
 
 def support(pattern: Sequence, s: Sequence) -> int:
@@ -235,7 +234,7 @@ def frequencies(s: Sequence) -> FrequencyTable:
     """Empirical symbol frequencies of s; rejects the empty sequence."""
     if len(s) == 0:
         raise ValueError("empty input")
-    counts = [0] * len(s.alphabet)
-    for sid in s.ids:
-        counts[sid] += 1
+    counts = np.bincount(
+        np.asarray(s.ids, dtype=np.int64), minlength=len(s.alphabet)
+    )
     return FrequencyTable(s.alphabet, counts, len(s))

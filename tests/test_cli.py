@@ -3,6 +3,8 @@ import math
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cossu import (
     Model,
@@ -13,7 +15,24 @@ from cossu import (
     read_sequence,
     total_dl,
 )
-from cossu.cli import _worker_count, build_parser, main
+from cossu.cli import MAX_TAUS, _worker_count, build_parser, main
+from cossu.evaluation import DEFAULT_TAUS
+
+
+#: A small valid model and a sequence it can score.
+VALID_MODEL = {
+    "alphabet": ["A", "B", "C"],
+    "frequencies": {"A": 3, "B": 2, "C": 1},
+    "n": 6,
+    "precision": 4,
+    "rules": [
+        {"antecedent": [], "consequent": ["A"], "weight": "0.5000"},
+        {"antecedent": [], "consequent": ["B"], "weight": "0.3333"},
+        {"antecedent": [], "consequent": ["C"], "weight": "0.1667"},
+        {"antecedent": ["A"], "consequent": ["B", "A"], "weight": "0.4000"},
+    ],
+}
+VALID_SEQUENCE = "A B A C A B\n"
 
 
 def run(capsys, *argv):
@@ -130,6 +149,61 @@ class TestMineScore:
         )
         assert code == 2
         assert "malformed model" in err
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("frequencies",), []),
+            (("rules",), 3),
+            (("alphabet",), 3),
+            (("alphabet",), [["A"], "B"]),
+            (("rules", 0, "weight"), None),
+            (("rules", 0, "antecedent"), 3),
+            (("frequencies", "A"), None),
+        ],
+        ids=[
+            "frequencies-list",
+            "rules-int",
+            "alphabet-int",
+            "alphabet-nested",
+            "weight-null",
+            "antecedent-int",
+            "count-null",
+        ],
+    )
+    def test_malformed_field_type(self, capsys, tmp_path, path, value):
+        obj = json.loads(json.dumps(VALID_MODEL))
+        node = obj
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        seq = tmp_path / "seq.txt"
+        seq.write_text(VALID_SEQUENCE)
+        code, _, err = run(capsys, "score", "--model", str(bad), "--seq", str(seq))
+        assert code == 2
+        assert "malformed model" in err
+
+    @pytest.mark.parametrize(
+        "fields, reason",
+        [
+            # Every weight is formatted to `precision` decimals when priced.
+            ({"precision": 2**30}, "precision must lie in"),
+            (
+                {"n": 10**400, "frequencies": {"A": 10**400 - 3, "B": 2, "C": 1}},
+                "beyond float range",
+            ),
+        ],
+        ids=["precision", "counts"],
+    )
+    def test_number_out_of_range(self, capsys, tmp_path, fields, reason):
+        bad, seq = tmp_path / "bad.json", tmp_path / "seq.txt"
+        bad.write_text(json.dumps(dict(VALID_MODEL, **fields)))
+        seq.write_text(VALID_SEQUENCE)
+        code, _, err = run(capsys, "score", "--model", str(bad), "--seq", str(seq))
+        assert code == 2
+        assert reason in err
 
     def test_score_unknown_symbol(self, capsys, tmp_path, synth_file):
         seq_path, _ = synth_file
@@ -346,3 +420,102 @@ class TestClassifyCommand:
         )
         assert code == 2
         assert "two classes" in err
+
+
+def _json_containers(inner):
+    return st.lists(inner, max_size=3) | st.dictionaries(
+        st.text(max_size=4), inner, max_size=3
+    )
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    _json_containers,
+    max_leaves=6,
+)
+
+
+def _paths(node, prefix=()):
+    """Every path to a value inside a JSON tree, the root excluded."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, prefix + (key,))
+
+
+class TestModelFuzz:
+    def test_valid_model_scores(self, capsys, tmp_path):
+        model, seq = tmp_path / "m.json", tmp_path / "seq.txt"
+        model.write_text(json.dumps(VALID_MODEL))
+        seq.write_text(VALID_SEQUENCE)
+        code, _, _ = run(capsys, "score", "--model", str(model), "--seq", str(seq))
+        assert code == 0
+
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_mutated_model_never_raises(self, tmp_path, data):
+        obj = json.loads(json.dumps(VALID_MODEL))
+        for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+            paths = list(_paths(obj))
+            if not paths:
+                break
+            path = data.draw(st.sampled_from(paths), label="path")
+            parent = obj
+            for key in path[:-1]:
+                parent = parent[key]
+            if data.draw(st.booleans(), label="delete"):
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = data.draw(JSON_VALUES, label="value")
+        model, seq = tmp_path / "m.json", tmp_path / "seq.txt"
+        model.write_text(json.dumps(obj))
+        seq.write_text(VALID_SEQUENCE)
+        assert main(["score", "--model", str(model), "--seq", str(seq)]) in {0, 1, 2}
+
+
+class TestTauGrid:
+    def parse(self, grid):
+        args = build_parser().parse_args(
+            ["predict", "--model", "m.json", "--test", "t.txt", f"--tau-grid={grid}"]
+        )
+        return args.tau_grid
+
+    def test_default_grid(self):
+        args = build_parser().parse_args(
+            ["predict", "--model", "m.json", "--test", "t.txt"]
+        )
+        assert args.tau_grid == DEFAULT_TAUS
+
+    def test_range_and_list(self):
+        assert self.parse("0:1:0.25") == (0.0, 0.25, 0.5, 0.75, 1.0)
+        assert self.parse("0,0.3") == (0.0, 0.3)
+
+    @pytest.mark.parametrize(
+        "grid, reason",
+        [
+            ("0:1:0", "step must be positive"),
+            ("0:1:-0.1", "step must be positive"),
+            ("0:1:nan", "step must be positive"),
+            ("0:1", "expected lo:hi:step"),
+            ("0:1:0.1:2", "expected lo:hi:step"),
+            ("a:1:0.1", "expected lo:hi:step"),
+            ("0,,0.3", "expected lo:hi:step"),
+            ("0:1.5:0.1", "outside [0, 1]"),
+            ("-0.1:1:0.1", "outside [0, 1]"),
+            ("0,2", "outside [0, 1]"),
+            ("nan", "outside [0, 1]"),
+            (f"0:1:{0.5 / MAX_TAUS}", "more than"),
+            ("1:1:1e-300", "more than"),
+        ],
+    )
+    def test_bad_grid_is_usage_error(self, capsys, grid, reason):
+        with pytest.raises(SystemExit) as exc:
+            self.parse(grid)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "--tau-grid" in err and reason in err

@@ -219,3 +219,35 @@ def test_active_singletons_count(ids):
     hist = Sequence(alphabet, tuple(ids))
     rules = list(singleton_rules(alphabet))
     assert len(active_matches(rules, hist)) == 3
+
+
+def naive_support_confidence(ids, rule):
+    """Reference count over the boundaries i before each element and after
+    the last: the rule triggers at i when its antecedent ends there (an
+    empty one triggers before every element) and applies when the
+    consequent also starts there."""
+    a, c = rule.antecedent, rule.consequent
+    triggers = applies = 0
+    for i in range(len(ids) + 1):
+        if a:
+            triggered = i >= len(a) and tuple(ids[i - len(a) : i]) == a
+        else:
+            triggered = i < len(ids)
+        if triggered:
+            triggers += 1
+            applies += tuple(ids[i : i + len(c)]) == c
+    return applies, (applies / triggers if triggers else 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(0, 2), min_size=1, max_size=40),
+    st.lists(st.integers(0, 2), max_size=3),
+    st.lists(st.integers(0, 2), min_size=1, max_size=3),
+)
+def test_support_confidence_against_naive_count(ids, ant, cons):
+    s = Sequence(Alphabet(["a", "b", "c"]), tuple(ids))
+    rule = Rule(tuple(ant), tuple(cons))
+    assert rule_support_confidence(rule, s) == naive_support_confidence(
+        s.ids, rule
+    )

@@ -1,8 +1,9 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cossu import (
@@ -13,6 +14,7 @@ from cossu import (
     matches_starting_at,
     support,
 )
+from cossu.sequence import match_ends
 
 from conftest import char_seq
 
@@ -60,6 +62,10 @@ class TestSequence:
     def test_bad_id_rejected(self):
         with pytest.raises(ValueError):
             Sequence(Alphabet(["a"]), (1,))
+        with pytest.raises(ValueError, match="out of range: -1"):
+            Sequence(Alphabet(["a", "b"]), (0, -1, 1))
+        with pytest.raises(ValueError, match="out of range: 2"):
+            Sequence(Alphabet(["a", "b"]), (0, 1, 2))
 
 
 class TestMatches:
@@ -164,3 +170,32 @@ def test_frequencies_sum_to_one(sp):
     assert total == 1
     float_total = sum(float(v) for v in frequencies(s).mapping().values())
     assert abs(float_total - 1.0) <= 1e-12
+
+
+def naive_match_ends(ids, pattern):
+    """Reference scan: every window of the pattern's length, compared."""
+    m = len(pattern)
+    return [
+        j
+        for j in range(m - 1, len(ids))
+        if tuple(ids[j - m + 1 : j + 1]) == pattern
+    ]
+
+
+@st.composite
+def ids_and_pattern(draw):
+    k = draw(st.integers(1, 4))
+    ids = draw(st.lists(st.integers(0, k - 1), max_size=40))
+    pattern = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=6))
+    return ids, tuple(pattern)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ids_and_pattern())
+@example(([], (0,)))  # empty sequence
+@example(([0, 1], (0, 1, 0)))  # pattern longer than the sequence
+@example(([0] * 7, (0, 0, 0)))  # one-symbol alphabet, overlapping matches
+def test_match_ends_against_naive_scan(case):
+    ids, pattern = case
+    got = match_ends(np.asarray(ids, dtype=np.int64), pattern)
+    assert got.tolist() == naive_match_ends(ids, pattern)
