@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 from typing import TextIO
 
@@ -33,7 +34,18 @@ from .sequence import Alphabet
 
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that exits 1 (not 2) on usage errors."""
+    """ArgumentParser that exits 1 (not 2) on usage errors, and that builds
+    the mining commands' `MiningConfig` (as `config`) while it parses, so
+    that values the config rejects are usage errors too."""
+
+    def parse_args(self, args=None, namespace=None):  # type: ignore[override]
+        parsed = super().parse_args(args, namespace)
+        if "opt_bounds" in parsed:
+            try:
+                parsed.config = _mining_config(parsed)
+            except ValueError as exc:
+                self.error(str(exc))
+        return parsed
 
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)
@@ -113,7 +125,7 @@ def _out_stream(path: str | None) -> TextIO:
 
 def cmd_mine(args: argparse.Namespace) -> int:
     s = model_io.read_sequence(args.sequence, args.char_mode)
-    model = cossu_mine(s, _mining_config(args), _trace_writer(args))
+    model = cossu_mine(s, args.config, _trace_writer(args))
     model_io.save_model(model, args.out)
     report = total_dl(model, s)
     found = [format_rule(r, model.alphabet) for r in model.non_singletons()]
@@ -203,17 +215,17 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _hitrate_run(payload: tuple) -> tuple[int, list[str], bool]:
-    spec_fields, mining_fields, seed = payload
-    spec = SyntheticSpec(**{**spec_fields, "seed": seed})
+def _hitrate_run(
+    job: tuple[SyntheticSpec, MiningConfig]
+) -> tuple[int, list[str], bool]:
+    spec, config = job
     s, targets = synth_generate(spec)
-    config = MiningConfig(**mining_fields)
     model = cossu_mine(s, config)
     mined = sorted(
         format_rule(r, model.alphabet) for r in model.non_singletons()
     )
     hit = hit_rate([model], targets, s.alphabet) == 100.0
-    return seed, mined, hit
+    return spec.seed, mined, hit
 
 
 def _worker_count(threads: int | None, runs: int) -> int:
@@ -224,23 +236,10 @@ def _worker_count(threads: int | None, runs: int) -> int:
 
 def cmd_eval_hitrate(args: argparse.Namespace) -> int:
     spec = _parse_spec(args)
-    config = _mining_config(args)
-    spec_fields = {
-        "length": spec.length,
-        "alphabet": spec.alphabet,
-        "distribution": spec.distribution,
-        "rules": spec.rules,
-        "insertion_probability": spec.insertion_probability,
-    }
-    mining_fields = {
-        "minsup": config.minsup,
-        "max_pattern_len": config.max_pattern_len,
-        "optimizer": config.optimizer,
-        "precision": config.precision,
-        "fast_screen": config.fast_screen,
-    }
-    seeds = list(range(args.seed, args.seed + args.runs))
-    jobs = [(spec_fields, mining_fields, seed) for seed in seeds]
+    jobs = [
+        (replace(spec, seed=seed), args.config)
+        for seed in range(args.seed, args.seed + args.runs)
+    ]
     workers = _worker_count(args.threads, args.runs)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -367,7 +366,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         ]
         for label, paths in classes.items()
     }
-    clf = train_classifier(training, _mining_config(args))
+    clf = train_classifier(training, args.config)
     instances = _test_instances(Path(args.test))
     rows = []
     scored = 0

@@ -9,15 +9,18 @@ Patterns at the length cap have no in-cap extension and count as closed.
 Mining walks a suffix array over its LCP intervals: branching interval
 labels are exactly the right-maximal repeats, and a left-context diversity
 check (precomputed from the preceding-symbol array) filters the
-left-extensible ones in O(1) per node. A brute-force window counter,
-quadratic-ish but simple, is kept only as the oracle that tests compare the
-suffix walk against (`method="brute"`).
+left-extensible ones in O(1) per node. The suffix sort and the LCP array
+stop at depth `max_pattern_len`, so the intervals at the cap are the
+frequent cap-length windows, all closed. A pattern's prefix supports (the
+trigger counts of its candidate rules) are the widths of the runs of
+LCP >= k around its slot. A brute-force window counter, quadratic-ish but
+simple, is kept only as the oracle that tests compare the suffix walk
+against (`method="brute"`), prefix supports included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -26,8 +29,11 @@ from .sequence import Sequence
 
 @dataclass(frozen=True)
 class ClosedPattern:
+    """`prefix_supports[k-1]` counts the matches of the first k symbols."""
+
     pattern: Sequence
     support: int
+    prefix_supports: tuple[int, ...]
 
 
 def mine_closed(
@@ -54,32 +60,25 @@ def mine_closed(
         found = _mine_suffix(s.ids, minsup, max_pattern_len)
     else:
         raise ValueError(f"unknown method: {method!r}")
-    ordered = sorted(found.items(), key=lambda kv: (-kv[1], len(kv[0]), kv[0]))
+    ordered = sorted(
+        found.items(), key=lambda kv: (-kv[1][-1], len(kv[0]), kv[0])
+    )
     return [
-        ClosedPattern(Sequence(s.alphabet, pat), supp) for pat, supp in ordered
+        ClosedPattern(Sequence(s.alphabet, pat), prefix[-1], prefix)
+        for pat, prefix in ordered
     ]
-
-
-def window_counts(
-    ids: tuple[int, ...], lengths: Iterable[int]
-) -> dict[tuple[int, ...], int]:
-    """Support of every distinct window of the given lengths."""
-    counts: dict[tuple[int, ...], int] = {}
-    n = len(ids)
-    for length in lengths:
-        if not 1 <= length <= n:
-            continue
-        for i in range(n - length + 1):
-            w = ids[i : i + length]
-            counts[w] = counts.get(w, 0) + 1
-    return counts
 
 
 def _mine_brute(
     ids: tuple[int, ...], minsup: int, max_len: int
-) -> dict[tuple[int, ...], int]:
-    top = min(max_len, len(ids))
-    counts = window_counts(ids, range(1, top + 1))
+) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Closed patterns mapped to their prefix supports, by counting every
+    window of every in-cap length (the oracle for `_mine_suffix`)."""
+    counts: dict[tuple[int, ...], int] = {}
+    for length in range(1, min(max_len, len(ids)) + 1):
+        for i in range(len(ids) - length + 1):
+            w = ids[i : i + length]
+            counts[w] = counts.get(w, 0) + 1
     absorbed: set[tuple[int, ...]] = set()
     for w, c in counts.items():
         if c < minsup or len(w) < 2:
@@ -88,18 +87,20 @@ def _mine_brute(
             if counts[sub] == c:
                 absorbed.add(sub)
     return {
-        w: c for w, c in counts.items() if c >= minsup and w not in absorbed
+        w: tuple(counts[w[:k]] for k in range(1, len(w) + 1))
+        for w, c in counts.items()
+        if c >= minsup and w not in absorbed
     }
 
 
-def _suffix_array(arr: np.ndarray) -> np.ndarray:
-    """Suffix array by prefix doubling on numpy ranks."""
+def _suffix_array(arr: np.ndarray, depth: int) -> np.ndarray:
+    """Suffix array by prefix doubling, ordered only by the first `depth`
+    symbols: suffixes that share them keep an arbitrary but fixed order."""
     n = arr.size
-    if n == 1:
-        return np.zeros(1, dtype=np.int64)
     rank = np.unique(arr, return_inverse=True)[1].astype(np.int64)
+    order = np.argsort(rank, kind="stable")
     k = 1
-    while True:
+    while k < depth and rank.max() < n - 1:
         second = np.full(n, -1, dtype=np.int64)
         second[: n - k] = rank[k:]
         order = np.lexsort((second, rank))
@@ -107,72 +108,71 @@ def _suffix_array(arr: np.ndarray) -> np.ndarray:
         changed = np.empty(n, dtype=np.int64)
         changed[0] = 0
         changed[1:] = (r1[1:] != r1[:-1]) | (r2[1:] != r2[:-1])
-        new = np.cumsum(changed)
-        rank = np.empty_like(new)
-        rank[order] = new
-        if new[-1] == n - 1 or k >= n:
-            return order.astype(np.int64)
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = np.cumsum(changed)
         k *= 2
+    return order
 
 
-def _lcp_array(ids: tuple[int, ...], sa: np.ndarray) -> np.ndarray:
-    """Kasai's algorithm; lcp[r] is the lcp of suffixes sa[r-1] and sa[r]."""
-    n = len(ids)
-    rank = np.empty(n, dtype=np.int64)
-    rank[sa] = np.arange(n)
+def _lcp_array(arr: np.ndarray, sa: np.ndarray, depth: int) -> np.ndarray:
+    """lcp[r] is the lcp of suffixes sa[r-1] and sa[r], capped at depth;
+    each pass extends the pairs that still match by one symbol."""
+    n = arr.size
     lcp = np.zeros(n, dtype=np.int64)
+    live = np.arange(1, n)
     h = 0
-    for i in range(n):
-        r = rank[i]
-        if r == 0:
-            h = 0
-            continue
-        j = int(sa[r - 1])
-        while i + h < n and j + h < n and ids[i + h] == ids[j + h]:
-            h += 1
-        lcp[r] = h
-        if h:
-            h -= 1
+    while live.size and h < depth:
+        i, j = sa[live - 1] + h, sa[live] + h
+        inside = np.maximum(i, j) < n
+        live, i, j = live[inside], i[inside], j[inside]
+        live = live[arr[i] == arr[j]]
+        h += 1
+        lcp[live] = h
     return lcp
 
 
 def _mine_suffix(
     ids: tuple[int, ...], minsup: int, max_len: int
-) -> dict[tuple[int, ...], int]:
+) -> dict[tuple[int, ...], tuple[int, ...]]:
     n = len(ids)
     arr = np.asarray(ids, dtype=np.int64)
-    sa = _suffix_array(arr)
-    lcp = _lcp_array(ids, sa)
+    depth = min(max_len, n)
+    sa = _suffix_array(arr, depth)
+    lcp = _lcp_array(arr, sa, depth)
 
     # Preceding symbol per suffix-array slot; -1 marks the sequence start,
     # which always counts as a distinct left context.
     bwt = np.where(sa > 0, arr[np.maximum(sa - 1, 0)], -1)
     diff = np.zeros(n, dtype=np.int64)
     diff[1:] = bwt[1:] != bwt[:-1]
-    pref = np.cumsum(diff)
+    pref = np.cumsum(diff).tolist()
 
-    found: dict[tuple[int, ...], int] = {}
+    # Left boundary and depth of each closed interval. An interval at the
+    # cap has no in-cap extension, so it is closed whatever its contexts.
+    slots: list[int] = []
+    depths: list[int] = []
+    heights = lcp.tolist() + [0]
     stack: list[tuple[int, int]] = [(0, 0)]  # (lcp depth, left boundary)
     for i in range(1, n + 1):
-        h = int(lcp[i]) if i < n else 0
+        h = heights[i]
         lb = i - 1
-        while stack and stack[-1][0] > h:
-            depth, lb = stack.pop()
-            rb = i - 1
-            supp = rb - lb + 1
-            if (
-                supp >= minsup
-                and depth < max_len
-                and pref[rb] > pref[lb]  # at least two left contexts
-            ):
-                start = int(sa[lb])
-                found[ids[start : start + depth]] = supp
-        if not stack or stack[-1][0] < h:
+        while stack[-1][0] > h:
+            d, lb = stack.pop()
+            if i - lb >= minsup and (d == max_len or pref[i - 1] > pref[lb]):
+                slots.append(lb)
+                depths.append(d)
+        if stack[-1][0] < h:
             stack.append((h, lb))
 
-    # Frequent windows at the cap have no in-cap extension: all closed.
-    if max_len <= n:
-        for w, c in window_counts(ids, (max_len,)).items():
-            if c >= minsup:
-                found[w] = c
+    # The matches of a pattern's first k symbols are the run of lcp >= k
+    # around its slot.
+    at = np.array(slots, dtype=np.int64)
+    longest = max(depths, default=0)
+    counts = np.empty((longest, at.size), dtype=np.int64)
+    for k in range(1, longest + 1):
+        run = np.cumsum(lcp < k)
+        counts[k - 1] = np.bincount(run)[run[at]]
+    found: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for j, (start, d) in enumerate(zip(sa[at].tolist(), depths)):
+        found[ids[start : start + d]] = tuple(counts[:d, j].tolist())
     return found

@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .closed import ClosedPattern, window_counts
+from .closed import ClosedPattern
 from .sequence import Alphabet, FrequencyTable, Sequence, match_ends
 
 EMPTY_ANTECEDENT_MARK = "∅"
@@ -170,14 +170,18 @@ def compression_gain(rule: Rule, s: Sequence, f: FrequencyTable) -> float:
 
     conf * supp * cl(consequent) - (cl(antecedent) + cl(consequent)),
     with cl summing the background code lengths of the symbols. May be
-    negative. Symbols that never occur in s are rejected.
+    negative. Symbols that never occur in s are rejected. This per-rule
+    count is the reference that tests compare `candidate_gains` against.
     """
     for sid in rule.antecedent + rule.consequent:
         if f.counts[sid] == 0:
             raise ValueError(
                 f"unknown symbol: {f.alphabet.token_of(sid)!r} does not occur"
             )
-    supp, conf = rule_support_confidence(rule, s)
+    return _gain(rule, *rule_support_confidence(rule, s), f)
+
+
+def _gain(rule: Rule, supp: int, conf: float, f: FrequencyTable) -> float:
     cl_a = sum(f.code_length(sid) for sid in rule.antecedent)
     cl_c = sum(f.code_length(sid) for sid in rule.consequent)
     return conf * supp * cl_c - (cl_a + cl_c)
@@ -188,30 +192,15 @@ def candidate_gains(
 ) -> list[tuple[Rule, float]]:
     """Gains for every candidate from the closed patterns, batch version.
 
-    Equivalent to compression_gain per rule but reuses pattern supports
-    (the support of a split equals its source pattern's support) and a
-    shared window-count table for the antecedent trigger counts.
+    Equal to compression_gain per rule, but counts nothing: a split's
+    support is its pattern's support, and its antecedent's trigger count
+    is the pattern's prefix support (n for an empty antecedent).
     """
-    closed = list(closed)
-    n = len(s)
-    ant_lengths = sorted(
-        {k for cp in closed for k in range(1, len(cp.pattern.ids))}
-    )
-    counts = window_counts(s.ids, ant_lengths)
+    by_ids = {cp.pattern.ids: cp for cp in closed}
     out: list[tuple[Rule, float]] = []
-    seen: set[Rule] = set()
-    for cp in closed:
-        ids = cp.pattern.ids
-        supp = cp.support
-        cl = [f.code_length(sid) for sid in ids]
-        for k in range(len(ids)):
-            rule = Rule(ids[:k], ids[k:])
-            if rule.is_singleton or rule in seen:
-                continue
-            seen.add(rule)
-            triggers = n if k == 0 else counts.get(ids[:k], 0)
-            conf = supp / triggers if triggers else 0.0
-            cl_a = sum(cl[:k])
-            cl_c = sum(cl[k:])
-            out.append((rule, conf * supp * cl_c - (cl_a + cl_c)))
+    for rule in generate_candidates(by_ids.values(), s):
+        cp = by_ids[rule.antecedent + rule.consequent]
+        k = len(rule.antecedent)
+        triggers = cp.prefix_supports[k - 1] if k else len(s)
+        out.append((rule, _gain(rule, cp.support, cp.support / triggers, f)))
     return out

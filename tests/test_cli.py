@@ -3,7 +3,7 @@ import math
 import os
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from cossu import (
@@ -62,6 +62,13 @@ def synth_file(tmp_path):
     return seq_path, targets_path
 
 
+MINING_COMMANDS = {
+    "mine": ["mine", "x.txt", "--out", "m.json"],
+    "eval-hitrate": ["eval-hitrate"],
+    "classify": ["classify", "--train", "x=a.txt,y=b.txt", "--test", "t.txt"],
+}
+
+
 class TestUsageErrors:
     def test_mine_without_args(self, capsys):
         code, _, err = run(capsys, "mine")
@@ -82,6 +89,28 @@ class TestUsageErrors:
         )
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("command", sorted(MINING_COMMANDS))
+    @pytest.mark.parametrize(
+        "flag, reason",
+        [
+            ("--opt-bounds=5,1", "lower < upper"),
+            ("--opt-bounds=x", "bad --opt-bounds value"),
+            ("--minsup=1", "minsup must be at least 2"),
+            ("--max-pattern-len=0", "max_pattern_len must be at least 1"),
+            ("--opt-passes=0", "at least one pass"),
+            ("--opt-tol=0", "tolerance must be positive"),
+            ("--precision=0", "precision must lie in"),
+        ],
+    )
+    def test_bad_mining_flag(
+        self, capsys, monkeypatch, tmp_path, command, flag, reason
+    ):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(capsys, *MINING_COMMANDS[command], flag)
+        assert code == 1
+        assert reason in err
+        assert not list(tmp_path.iterdir())
 
 
 class TestMineScore:
@@ -519,3 +548,60 @@ class TestTauGrid:
         assert exc.value.code == 1
         err = capsys.readouterr().err
         assert "--tau-grid" in err and reason in err
+
+
+SEQUENCE_FILES = st.one_of(
+    st.binary(max_size=200),
+    st.sampled_from(
+        [b"", b" ", b"\n\n", b"\t \r\n ", b"A", b"A\n", b"\xff", b"A \xc3"]
+    ),
+    st.lists(
+        st.sampled_from(["A", "B", "C", "\u00e9", " ", "\n", "\t", "\r\n"]),
+        max_size=200,
+    ).map(lambda parts: "".join(parts).encode()),
+    st.builds(
+        lambda token, count, sep: sep.join([token] * count).encode(),
+        st.sampled_from(["A", "B", "xy", "\u00e9"]),
+        st.integers(1, 400),
+        st.sampled_from([" ", "\n", ""]),
+    ),
+)
+
+
+class TestSequenceFileFuzz:
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        content=SEQUENCE_FILES,
+        cap=st.sampled_from([1, 2, 3, 20]),
+        char_mode=st.booleans(),
+    )
+    def test_mine_never_raises(self, tmp_path, content, cap, char_mode):
+        seq, out = tmp_path / "seq.txt", tmp_path / "m.json"
+        seq.write_bytes(content)
+        out.unlink(missing_ok=True)
+        argv = ["mine", str(seq), "--out", str(out), f"--max-pattern-len={cap}"]
+        argv += ["--char-mode"] * char_mode
+        code = main(argv)
+        event(f"exit {code}")
+        assert code in {0, 1, 2}
+        if code == 0:
+            first = out.read_bytes()
+            assert main(argv) == 0
+            assert out.read_bytes() == first
+
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(content=SEQUENCE_FILES, char_mode=st.booleans())
+    def test_score_never_raises(self, tmp_path, content, char_mode):
+        model, seq = tmp_path / "m.json", tmp_path / "seq.txt"
+        model.write_text(json.dumps(VALID_MODEL))
+        seq.write_bytes(content)
+        argv = ["score", "--model", str(model), "--seq", str(seq)]
+        assert main(argv + ["--char-mode"] * char_mode) in {0, 1, 2}

@@ -152,3 +152,43 @@ def test_coverage_property(ids, minsup):
                 )
             ]
             assert absorbers and max(absorbers) >= c
+
+
+def naive_count(ids, w):
+    """Matches of w in ids, one window at a time."""
+    return sum(
+        tuple(ids[i : i + len(w)]) == w for i in range(len(ids) - len(w) + 1)
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(0, 2), min_size=1, max_size=80),
+    st.sampled_from([1, 2, 3, 5, 20]),
+    st.integers(2, 3),
+)
+def test_prefix_supports_count_prefix_matches(ids, cap, minsup):
+    """prefix_supports[k-1] is the support of the pattern's first k
+    symbols, and its last entry is the pattern's own support."""
+    alphabet = Alphabet(["a", "b", "c"])
+    s = Sequence(alphabet, tuple(ids))
+    for cp in mine_closed(s, minsup=minsup, max_pattern_len=cap):
+        pat = cp.pattern.ids
+        prefixes = [pat[:k] for k in range(1, len(pat) + 1)]
+        assert cp.prefix_supports == tuple(naive_count(ids, w) for w in prefixes)
+        assert cp.prefix_supports == tuple(
+            support(Sequence(alphabet, w), s) for w in prefixes
+        )
+        assert cp.prefix_supports[-1] == cp.support
+
+
+def test_cap_beyond_length():
+    """A cap far past the sequence length mines what a cap at the length
+    mines: no work is sized by the cap itself."""
+    rng = random.Random(8)
+    block = [rng.randrange(3) for _ in range(100)]
+    s = Sequence(Alphabet(["a", "b", "c"]), tuple(block * 3))
+    at_length = mine_closed(s, max_pattern_len=len(s))
+    assert mine_closed(s, max_pattern_len=10**9) == at_length
+    assert max(len(cp.pattern) for cp in at_length) == 200
+    assert at_length == mine_closed(s, max_pattern_len=len(s), method="brute")

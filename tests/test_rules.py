@@ -207,8 +207,18 @@ class TestGain:
         for _ in range(10):
             s = random_seq(rng, 80, 3)
             f = frequencies(s)
-            closed = mine_closed(s)
-            for r, g in candidate_gains(closed, s, f):
+            for cap in (1, 2, 3, 4, 5, 20):
+                closed = mine_closed(s, max_pattern_len=cap)
+                for r, g in candidate_gains(closed, s, f):
+                    assert g == compression_gain(r, s, f)
+
+    def test_batch_matches_single_on_runs(self):
+        s = char_seq("a" * 50 + "b" + "a" * 30)
+        f = frequencies(s)
+        for cap in (1, 2, 3, 4, 5, 20):
+            gains = candidate_gains(mine_closed(s, max_pattern_len=cap), s, f)
+            assert len(gains) >= cap - 1
+            for r, g in gains:
                 assert g == compression_gain(r, s, f)
 
 
