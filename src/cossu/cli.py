@@ -69,12 +69,6 @@ def _add_mining_args(sp: argparse.ArgumentParser) -> None:
     )
     sp.add_argument("--precision", type=int, default=4)
     sp.add_argument(
-        "--fast-screen",
-        action="store_true",
-        help="tune only the new rule's weight while screening candidates "
-        "(full pass still runs on every acceptance)",
-    )
-    sp.add_argument(
         "--trace",
         action="store_true",
         help="log one key=value line per selection step to stderr",
@@ -94,7 +88,6 @@ def _mining_config(args: argparse.Namespace) -> MiningConfig:
             lower=lo, upper=hi, tolerance=args.opt_tol, passes=args.opt_passes
         ),
         precision=args.precision,
-        fast_screen=args.fast_screen,
     )
 
 

@@ -456,6 +456,37 @@ def total_dl(m: Model, s: Sequence) -> DLReport:
     return DLReport(model_code_length(m), data_code_length(m, s))
 
 
+def _rule_stages(
+    m: Model, ids: np.ndarray
+) -> list[tuple[np.ndarray, int, float]]:
+    """Every (rule, stage) pair of m's proper rules on ids, in model order:
+    the stage's sorted active positions, its predicted symbol and the rule
+    weight."""
+    k = len(m.alphabet)
+    return [
+        (t, sym, w)
+        for rule, w in zip(m.rules[k:], m.weights[k:])
+        for t, sym in _stage_activity(ids, rule)
+    ]
+
+
+def _distribution_rows(
+    m: Model, stages: list[tuple[np.ndarray, int, float]], lo: int, hi: int
+) -> np.ndarray:
+    """Rows lo..hi-1 of `position_distributions`, from `_rule_stages`.
+
+    Every entry takes the same additions in the same order whatever the
+    row range, so a range is bit-identical to the same rows of the whole.
+    """
+    k = len(m.alphabet)
+    mass = np.tile(np.array(m.weights[:k], dtype=np.float64), (hi - lo, 1))
+    for t, sym, w in stages:
+        a, b = np.searchsorted(t, (lo, hi))
+        mass[t[a:b] - lo, sym] += w
+    mass /= mass.sum(axis=1, keepdims=True)
+    return mass
+
+
 def position_distributions(m: Model, s: Sequence) -> np.ndarray:
     """Predictive distribution at every position of s, as an (n, k) array.
 
@@ -463,10 +494,4 @@ def position_distributions(m: Model, s: Sequence) -> np.ndarray:
     i.e. what the model would predict just before seeing s[t].
     """
     ids = _aligned_ids(s, m.alphabet)
-    k = len(m.alphabet)
-    mass = np.tile(np.array(m.weights[:k], dtype=np.float64), (ids.size, 1))
-    for rule, w in zip(m.rules[k:], m.weights[k:]):
-        for t, sym in _stage_activity(ids, rule):
-            mass[t, sym] += w
-    mass /= mass.sum(axis=1, keepdims=True)
-    return mass
+    return _distribution_rows(m, _rule_stages(m, ids), 0, ids.size)

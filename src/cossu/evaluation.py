@@ -11,8 +11,9 @@ import numpy as np
 from .encoding import (
     Model,
     _aligned_ids,
+    _distribution_rows,
+    _rule_stages,
     data_code_length,
-    position_distributions,
     predictive_distribution,
 )
 from .rules import Rule
@@ -20,6 +21,10 @@ from .selector import MiningConfig, cossu_mine
 from .sequence import Alphabet, Sequence, match_ends
 
 DEFAULT_TAUS = tuple(round(0.05 * i, 2) for i in range(20))
+
+#: Rows of a model's predictive distributions held at once while
+#: `evaluate_prediction` reduces them: 10 MB of float64 at k = 20.
+PREDICTION_BLOCK = 65_536
 
 
 @dataclass(frozen=True)
@@ -215,6 +220,21 @@ def bigram_baseline(train: Sequence) -> BigramPredictor:
     return BigramPredictor(train)
 
 
+def _model_choices(m: Model, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per position of ids, the model's top probability and the symbol it
+    picks, reduced from `position_distributions` one block of rows at a
+    time so that memory stays bounded in n."""
+    stages = _rule_stages(m, ids)
+    top = np.empty(ids.size)
+    pick = np.empty(ids.size, dtype=np.int64)
+    for lo in range(0, ids.size, PREDICTION_BLOCK):
+        hi = min(lo + PREDICTION_BLOCK, ids.size)
+        rows = _distribution_rows(m, stages, lo, hi)
+        top[lo:hi] = rows.max(axis=1)
+        pick[lo:hi] = rows.argmax(axis=1)
+    return top, pick
+
+
 def evaluate_prediction(
     predictor: Model | BigramPredictor | UniformPredictor,
     test: Sequence,
@@ -227,16 +247,15 @@ def evaluate_prediction(
     The recall/precision points over the sweep are summarized by a
     trapezoidal area.
     """
-    if isinstance(predictor, Model):
-        dists = position_distributions(predictor, test)
-    else:
-        dists = predictor.position_distributions(test)
     truth = _aligned_ids(test, predictor.alphabet)
     n = truth.size
     if n == 0:
         raise ValueError("empty input")
-    top = dists.max(axis=1)
-    pick = dists.argmax(axis=1)
+    if isinstance(predictor, Model):
+        top, pick = _model_choices(predictor, truth)
+    else:
+        dists = predictor.position_distributions(test)
+        top, pick = dists.max(axis=1), dists.argmax(axis=1)
     good = pick == truth
     metrics = []
     for tau in taus:

@@ -30,6 +30,13 @@ class OptimizerConfig:
     initial_weight: float = 1.0
 
     def __post_init__(self) -> None:
+        settings = (
+            self.lower, self.upper, self.tolerance, self.initial_weight
+        )
+        if not all(math.isfinite(v) for v in settings):
+            raise ValueError(
+                "search bracket, tolerance and initial weight must be finite"
+            )
         if not self.lower < self.upper:
             raise ValueError("search bracket must satisfy lower < upper")
         if self.lower <= 0.0:

@@ -1,16 +1,20 @@
 """Greedy MDL selection of sequential rules from one long sequence.
 
-The loop bootstraps with the singleton-only model, walks the candidates in
-order of decreasing compression gain, tentatively adds each one with
-re-adjusted weights, keeps it only when the total description length
-strictly drops, and after every acceptance sweeps the proper rules to
+The loop bootstraps with the singleton-only model and walks the candidates
+in order of decreasing compression gain. Each candidate is screened on its
+own weight: it is added at the initial weight and one line search tunes
+that weight alone. Only a candidate whose screened total beats the
+incumbent has every weight settled, and it is kept when the settled total
+still strictly drops. After every acceptance the proper rules are swept to
 remove any whose absence now encodes at least as well.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable
+from time import perf_counter
+from typing import Callable, Iterator
 
 from .closed import mine_closed
 from .encoding import (
@@ -34,6 +38,9 @@ from .sequence import FrequencyTable, Sequence, frequencies
 
 TraceFn = Callable[[dict], None]
 
+#: Stages of a mining run, each reported once by a `stage` trace event.
+STAGES = ("closed", "gains", "init", "screen", "prune", "finalize")
+
 
 @dataclass(frozen=True)
 class MiningConfig:
@@ -41,7 +48,6 @@ class MiningConfig:
     max_pattern_len: int = 20
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     precision: int = 4
-    fast_screen: bool = False
 
     def __post_init__(self) -> None:
         if self.minsup < 2:
@@ -56,13 +62,16 @@ class _TableBits:
 
     Weights are scaled into (0, 1) and rounded to the working precision
     before pricing, so the comparison metric matches what serialization
-    will pay. The symbol part of each entry never changes and is cached.
+    will pay. The symbol part of each entry never changes and is cached;
+    so is the price of each scaled weight, as most weights keep their value
+    and their scale from one tentative model to the next.
     """
 
     def __init__(self, freq: FrequencyTable, precision: int):
         self.freq = freq
         self.precision = precision
         self._content: dict[Rule, float] = {}
+        self._weight: dict[float, float] = {}
 
     def _content_bits(self, rule: Rule) -> float:
         bits = self._content.get(rule)
@@ -71,20 +80,72 @@ class _TableBits:
             self._content[rule] = bits
         return bits
 
+    def _weight_bits(self, scaled: float) -> float:
+        bits = self._weight.get(scaled)
+        if bits is None:
+            wq = quantize_weight(scaled, self.precision)
+            bits = weight_code_length(wq, self.precision)
+            self._weight[scaled] = bits
+        return bits
+
     def __call__(self, scorer: SequenceScorer) -> float:
         weights = scorer.weights
         scale = float(weights.max()) * (1.0 + 1e-9)
         bits = universal_int_code_length(len(scorer.rules))
         for rule, w in zip(scorer.rules, weights):
-            wq = quantize_weight(float(w) / scale, self.precision)
             bits += self._content_bits(rule)
-            bits += weight_code_length(wq, self.precision)
+            bits += self._weight_bits(float(w) / scale)
         return bits
 
 
-def _emit(trace: TraceFn | None, **fields) -> None:
-    if trace is not None:
-        trace(fields)
+class _Run:
+    """What the stages of one mining run share: the table pricing, the
+    trace hook, and the stage clocks and counters that the trace reports."""
+
+    def __init__(
+        self,
+        s: Sequence,
+        freq: FrequencyTable,
+        cfg: MiningConfig,
+        trace: TraceFn | None,
+    ):
+        self.alphabet = s.alphabet
+        self.optimizer = cfg.optimizer
+        self.trace = trace
+        self.table_bits = _TableBits(freq, cfg.precision)
+        self.seconds = dict.fromkeys(STAGES, 0.0)
+        self.counts = dict.fromkeys(
+            ("screened", "accepted", "pruned", "line_searches"), 0
+        )
+
+    def emit(self, **fields) -> None:
+        if self.trace is not None:
+            self.trace(fields)
+
+    @contextmanager
+    def stage(self, name: str) -> Iterator[None]:
+        start = perf_counter()
+        try:
+            yield
+        finally:
+            self.seconds[name] += perf_counter() - start
+
+    def total(self, scorer: SequenceScorer) -> float:
+        return self.table_bits(scorer) + scorer.data_bits
+
+    def tune(self, scorer: SequenceScorer, index: int) -> float:
+        """One line search on weight `index`; the scorer's new total."""
+        coordinate_pass(scorer, self.optimizer, [index])
+        self.counts["line_searches"] += 1
+        return self.total(scorer)
+
+    def settle(self, scorer: SequenceScorer) -> float:
+        """Coordinate passes over every weight; the scorer's new total."""
+        run_passes(scorer, self.optimizer)
+        self.counts["line_searches"] += self.optimizer.passes * len(
+            scorer.rules
+        )
+        return self.total(scorer)
 
 
 def cossu_mine(
@@ -94,55 +155,54 @@ def cossu_mine(
 
     Returns a normalized model whose weights are rounded to the working
     precision; the run is deterministic for fixed input and configuration.
+    The trace hook, when given, receives one dict per event: `start`,
+    `init`, one `candidate` per screened candidate, one `prune` per removed
+    rule, one `stage` (with its `seconds`) per entry of STAGES, and `done`
+    with the run's counters.
     """
     cfg = config or MiningConfig()
     if len(s) == 0:
         raise ValueError("empty input")
     freq = frequencies(s)
+    run = _Run(s, freq, cfg, trace)
 
-    closed = mine_closed(s, cfg.minsup, cfg.max_pattern_len)
-    scored = candidate_gains(closed, s, freq)
-    candidates = [(r, g) for r, g in scored if g > 0.0]
-    candidates.sort(
-        key=lambda rg: (
-            -rg[1],
-            len(rg[0].antecedent) + len(rg[0].consequent),
-            rg[0].antecedent,
-            rg[0].consequent,
+    with run.stage("closed"):
+        closed = mine_closed(s, cfg.minsup, cfg.max_pattern_len)
+    with run.stage("gains"):
+        scored = candidate_gains(closed, s, freq)
+        candidates = [(r, g) for r, g in scored if g > 0.0]
+        candidates.sort(
+            key=lambda rg: (
+                -rg[1],
+                len(rg[0].antecedent) + len(rg[0].consequent),
+                rg[0].antecedent,
+                rg[0].consequent,
+            )
         )
-    )
-    _emit(
-        trace,
+    run.emit(
         event="start",
         patterns=len(closed),
         candidates=len(scored),
         positive_gain=len(candidates),
     )
 
-    table_bits = _TableBits(freq, cfg.precision)
-    scorer = SequenceScorer(Model.empty(freq, cfg.precision), s)
-    run_passes(scorer, cfg.optimizer)
-    incumbent = table_bits(scorer) + scorer.data_bits
-    _emit(trace, event="init", total=incumbent)
+    with run.stage("init"):
+        scorer = SequenceScorer(Model.empty(freq, cfg.precision), s)
+        incumbent = run.settle(scorer)
+    run.emit(event="init", total=incumbent)
 
     for rule, gain in candidates:
-        tentative = scorer.clone()
-        tentative.add_rule(rule, cfg.optimizer.initial_weight)
-        if cfg.fast_screen:
-            coordinate_pass(
-                tentative, cfg.optimizer, [len(tentative.rules) - 1]
-            )
-        else:
-            run_passes(tentative, cfg.optimizer)
-        total = table_bits(tentative) + tentative.data_bits
-        if cfg.fast_screen and total < incumbent:
-            # Screening only tuned the new weight; settle the rest before
-            # the comparison that decides acceptance.
-            run_passes(tentative, cfg.optimizer)
-            total = table_bits(tentative) + tentative.data_bits
+        with run.stage("screen"):
+            tentative = scorer.clone()
+            tentative.add_rule(rule, cfg.optimizer.initial_weight)
+            total = run.tune(tentative, len(tentative.rules) - 1)
+            if total < incumbent:
+                # Screening tuned only the new weight; settle the rest
+                # before the comparison that decides acceptance.
+                total = run.settle(tentative)
         accepted = total < incumbent
-        _emit(
-            trace,
+        run.counts["screened"] += 1
+        run.emit(
             event="candidate",
             rule=format_rule(rule, s.alphabet),
             gain=gain,
@@ -152,28 +212,25 @@ def cossu_mine(
         )
         if not accepted:
             continue
-        scorer, incumbent = tentative, total
-        scorer, incumbent = _prune(
-            scorer, incumbent, cfg, table_bits, trace, s
-        )
+        run.counts["accepted"] += 1
+        with run.stage("prune"):
+            scorer, incumbent = _prune(tentative, total, run)
 
-    final = quantize_weights(normalize_weights(scorer.model()))
-    _emit(
-        trace,
+    with run.stage("finalize"):
+        final = quantize_weights(normalize_weights(scorer.model()))
+    for name, seconds in run.seconds.items():
+        run.emit(event="stage", stage=name, seconds=seconds)
+    run.emit(
         event="done",
         total=incumbent,
         rules=len(final.non_singletons()),
+        **run.counts,
     )
     return final
 
 
 def _prune(
-    scorer: SequenceScorer,
-    incumbent: float,
-    cfg: MiningConfig,
-    table_bits: _TableBits,
-    trace: TraceFn | None,
-    s: Sequence,
+    scorer: SequenceScorer, incumbent: float, run: _Run
 ) -> tuple[SequenceScorer, float]:
     """Drop proper rules whose removal encodes at least as well.
 
@@ -188,19 +245,18 @@ def _prune(
             continue  # already removed this sweep
         test = scorer.clone()
         test.remove_rule(index)
-        total = table_bits(test) + test.data_bits
+        total = run.total(test)
         if total > incumbent:
             continue
         scorer, incumbent = test, total
-        _emit(
-            trace,
+        run.counts["pruned"] += 1
+        run.emit(
             event="prune",
-            rule=format_rule(rule, s.alphabet),
+            rule=format_rule(rule, run.alphabet),
             total=total,
         )
         settled = scorer.clone()
-        run_passes(settled, cfg.optimizer)
-        settled_total = table_bits(settled) + settled.data_bits
+        settled_total = run.settle(settled)
         if settled_total <= incumbent:
             scorer, incumbent = settled, settled_total
     return scorer, incumbent

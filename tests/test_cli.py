@@ -101,6 +101,9 @@ class TestUsageErrors:
             ("--opt-passes=0", "at least one pass"),
             ("--opt-tol=0", "tolerance must be positive"),
             ("--precision=0", "precision must lie in"),
+            ("--opt-bounds=1e-6,inf", "must be finite"),
+            ("--opt-tol=nan", "must be finite"),
+            ("--opt-tol=inf", "must be finite"),
         ],
     )
     def test_bad_mining_flag(
@@ -319,6 +322,9 @@ class TestTrace:
         lines = [l for l in err.splitlines() if l.startswith("event=")]
         assert any("event=candidate" in l for l in lines)
         assert any("decision=accept" in l for l in lines)
+        stage = "event=stage stage=screen seconds="
+        assert any(l.startswith(stage) for l in lines)
+        assert "line_searches=" in lines[-1]
 
 
 class TestEvalHitrate:

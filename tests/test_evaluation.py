@@ -15,14 +15,16 @@ from cossu import (
     evaluate_prediction,
     frequencies,
     hit_rate,
+    position_distributions,
     predict_next,
     rule_support_confidence,
     synth_generate,
     train_classifier,
 )
+from cossu import evaluation
 from cossu.evaluation import UniformPredictor
 
-from conftest import char_seq
+from conftest import char_seq, random_seq
 
 
 class TestSynthGenerate:
@@ -177,6 +179,29 @@ class TestEvaluatePrediction:
         )
         assert outcome.auc == pytest.approx(expect, abs=1e-12)
         assert xs == sorted(xs)
+
+
+    def test_blocked_rows_match_full_distributions(self, monkeypatch):
+        s = random_seq(random.Random(5), 500, 4)
+        m = Model.empty(frequencies(s))
+        m = m.with_rule(Rule((0,), (1,)), 0.7)
+        m = m.with_rule(Rule((1, 2), (3, 0)), 0.4)
+        m = m.with_rule(Rule((), (2, 3)), 0.2)
+        dists = position_distributions(m, s)
+        truth = np.asarray(s.ids)
+        # Blocks of 7 rows: many edges, and stage histories cross them.
+        monkeypatch.setattr(evaluation, "PREDICTION_BLOCK", 7)
+        top, pick = evaluation._model_choices(m, truth)
+        assert np.array_equal(top, dists.max(axis=1))
+        assert np.array_equal(pick, dists.argmax(axis=1))
+        taus = (0.0, 0.2, 0.3, 0.4, 0.5)
+        outcome = evaluate_prediction(m, s, taus)
+        good = dists.argmax(axis=1) == truth
+        for tm in outcome.metrics:
+            answer = dists.max(axis=1) > tm.tau
+            assert tm.predicted == int(answer.sum())
+            assert tm.correct == int((answer & good).sum())
+        assert any(0 < tm.predicted < len(s) for tm in outcome.metrics)
 
 
 class TestBigram:

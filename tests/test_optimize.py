@@ -72,6 +72,10 @@ class TestConfig:
             OptimizerConfig(tolerance=0.0)
         with pytest.raises(ValueError):
             OptimizerConfig(passes=0)
+        for field in ("lower", "upper", "tolerance", "initial_weight"):
+            for value in (math.nan, math.inf):
+                with pytest.raises(ValueError, match="finite"):
+                    OptimizerConfig(**{field: value})
 
 
 class TestAdjustWeights:

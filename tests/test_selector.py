@@ -7,13 +7,16 @@ from cossu import (
     Model,
     OptimizerConfig,
     Sequence,
+    SyntheticSpec,
     cossu_mine,
     format_rule,
     frequencies,
     model_to_json,
     singleton_rules,
+    synth_generate,
     total_dl,
 )
+from cossu import optimize
 
 from conftest import char_seq, random_seq
 
@@ -76,6 +79,27 @@ class TestTrace:
         )
 
 
+    def test_stage_and_counter_events(self):
+        seq, _ = synth_generate(SyntheticSpec(seed=3, length=2000))
+        events = []
+        model = cossu_mine(seq, trace=events.append)
+        stages = [e for e in events if e["event"] == "stage"]
+        assert sorted(e["stage"] for e in stages) == sorted(
+            ["closed", "gains", "init", "screen", "prune", "finalize"]
+        )
+        assert all(e["seconds"] >= 0.0 for e in stages)
+        start, done = events[0], events[-1]
+        assert start["event"] == "start" and done["event"] == "done"
+        candidates = [e for e in events if e["event"] == "candidate"]
+        assert done["screened"] == start["positive_gain"] == len(candidates)
+        assert done["accepted"] == sum(
+            e["decision"] == "accept" for e in candidates
+        )
+        assert done["pruned"] == sum(e["event"] == "prune" for e in events)
+        assert done["accepted"] - done["pruned"] == len(model.non_singletons())
+        assert done["accepted"] >= 1
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self):
         rng = random.Random(41)
@@ -91,16 +115,46 @@ class TestDeterminism:
             MiningConfig(max_pattern_len=0)
 
 
-class TestFastScreen:
-    def test_same_result_on_planted_rule(self):
-        from cossu import SyntheticSpec, synth_generate
-
+class TestScreening:
+    def test_planted_rule_mined(self):
         seq, targets = synth_generate(SyntheticSpec(seed=3, length=2000))
-        full = cossu_mine(seq)
-        fast = cossu_mine(seq, MiningConfig(fast_screen=True))
-        assert {r.tokens(full.alphabet) for r in full.non_singletons()} == {
-            r.tokens(fast.alphabet) for r in fast.non_singletons()
+        model = cossu_mine(seq)
+        assert {r.tokens(model.alphabet) for r in model.non_singletons()} == {
+            r.tokens(seq.alphabet) for r in targets
         }
+
+    @pytest.mark.parametrize("passes", [1, 2])
+    def test_line_searches_per_candidate(self, monkeypatch, passes):
+        steps = 0
+        step = optimize.coordinate_step
+
+        def counted(*args):
+            nonlocal steps
+            steps += 1
+            return step(*args)
+
+        monkeypatch.setattr(optimize, "coordinate_step", counted)
+        seq, _ = synth_generate(SyntheticSpec(seed=3, length=2000))
+        config = MiningConfig(optimizer=OptimizerConfig(passes=passes))
+        events = []
+        cossu_mine(seq, config, lambda e: events.append((e, steps)))
+        rules = len(seq.alphabet)
+        checked = {"accept": 0, "reject": 0}
+        for (e, at), (prev, before) in zip(events[1:], events):
+            if e["event"] == "candidate":
+                # A prune event is followed by its settling passes, so
+                # only a candidate right after init or another candidate
+                # has its own cost between two events.
+                if prev["event"] in ("init", "candidate"):
+                    settle = passes * (rules + 1)
+                    expect = 1 + settle if e["decision"] == "accept" else 1
+                    assert at - before == expect
+                    checked[e["decision"]] += 1
+                rules += e["decision"] == "accept"
+            elif e["event"] == "prune":
+                rules -= 1
+        assert checked["accept"] >= 1 and checked["reject"] >= 1
+        assert events[-1][0]["line_searches"] == steps
 
     def test_opt_passes_respected(self):
         rng = random.Random(77)
