@@ -57,14 +57,14 @@ def mine_closed(
     if method == "brute":
         found = _mine_brute(s.ids, minsup, max_pattern_len)
     elif method == "suffix":
-        found = _mine_suffix(s.ids, minsup, max_pattern_len)
+        found = _mine_suffix(s.array, minsup, max_pattern_len)
     else:
         raise ValueError(f"unknown method: {method!r}")
     ordered = sorted(
         found.items(), key=lambda kv: (-kv[1][-1], len(kv[0]), kv[0])
     )
     return [
-        ClosedPattern(Sequence(s.alphabet, pat), prefix[-1], prefix)
+        ClosedPattern(Sequence._trusted(s.alphabet, pat), prefix[-1], prefix)
         for pat, prefix in ordered
     ]
 
@@ -132,17 +132,18 @@ def _lcp_array(arr: np.ndarray, sa: np.ndarray, depth: int) -> np.ndarray:
 
 
 def _mine_suffix(
-    ids: tuple[int, ...], minsup: int, max_len: int
+    arr: np.ndarray, minsup: int, max_len: int
 ) -> dict[tuple[int, ...], tuple[int, ...]]:
-    n = len(ids)
-    arr = np.asarray(ids, dtype=np.int64)
+    n = arr.size
     depth = min(max_len, n)
     sa = _suffix_array(arr, depth)
     lcp = _lcp_array(arr, sa, depth)
 
     # Preceding symbol per suffix-array slot; -1 marks the sequence start,
-    # which always counts as a distinct left context.
-    bwt = np.where(sa > 0, arr[np.maximum(sa - 1, 0)], -1)
+    # which always counts as a distinct left context (in int64: -1 would
+    # wrap onto the largest id in the unsigned id dtype).
+    bwt = arr[np.maximum(sa - 1, 0)].astype(np.int64)
+    bwt[sa == 0] = -1
     diff = np.zeros(n, dtype=np.int64)
     diff[1:] = bwt[1:] != bwt[:-1]
     pref = np.cumsum(diff).tolist()
@@ -172,6 +173,7 @@ def _mine_suffix(
     for k in range(1, longest + 1):
         run = np.cumsum(lcp < k)
         counts[k - 1] = np.bincount(run)[run[at]]
+    ids = tuple(arr.tolist())
     found: dict[tuple[int, ...], tuple[int, ...]] = {}
     for j, (start, d) in enumerate(zip(sa[at].tolist(), depths)):
         found[ids[start : start + d]] = tuple(counts[:d, j].tolist())

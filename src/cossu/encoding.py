@@ -184,11 +184,6 @@ def model_code_length(m: Model) -> float:
     return bits
 
 
-def _aligned_ids(s: Sequence, alphabet: Alphabet) -> np.ndarray:
-    """Sequence ids re-expressed in the model alphabet."""
-    return np.asarray(s.reindexed(alphabet).ids, dtype=np.int64)
-
-
 def predictive_distribution(
     m: Model, history: Sequence | tuple[int, ...]
 ) -> np.ndarray:
@@ -230,7 +225,7 @@ class SequenceScorer:
         self.alphabet = model.alphabet
         self.freq = model.freq
         self.precision = model.precision
-        self.s_arr = _aligned_ids(s, model.alphabet)
+        self.s_arr = s.reindexed(model.alphabet).array
         self.k = len(model.alphabet)
         self.rules: list[Rule] = list(model.rules[: self.k])
         self.weights = np.array(model.weights[: self.k], dtype=np.float64)
@@ -439,7 +434,7 @@ def data_code_length(m: Model, s: Sequence) -> float:
     """
     if len(s) == 0:
         return 0.0
-    ids = _aligned_ids(s, m.alphabet)
+    ids = s.reindexed(m.alphabet).array
     k = len(m.alphabet)
     singleton_w = np.array(m.weights[:k], dtype=np.float64)
     den = np.full(ids.size, float(singleton_w.sum()))
@@ -493,5 +488,5 @@ def position_distributions(m: Model, s: Sequence) -> np.ndarray:
     Row t is the model's next-element distribution given s[1, t]...s[t-1],
     i.e. what the model would predict just before seeing s[t].
     """
-    ids = _aligned_ids(s, m.alphabet)
+    ids = s.reindexed(m.alphabet).array
     return _distribution_rows(m, _rule_stages(m, ids), 0, ids.size)

@@ -10,7 +10,6 @@ import numpy as np
 
 from .encoding import (
     Model,
-    _aligned_ids,
     _distribution_rows,
     _rule_stages,
     data_code_length,
@@ -85,7 +84,10 @@ def synth_generate(spec: SyntheticSpec) -> tuple[Sequence, tuple[Rule, ...]]:
     base = rng.choice(k, size=spec.length, p=probs).astype(np.int64)
 
     ip = spec.insertion_probability
-    insertions: dict[int, list[tuple[int, ...]]] = {}
+    # Insertion points after base positions, in rule order: a stable
+    # insert keeps that order where several rules insert at one point.
+    at: list[int] = []
+    inserted: list[int] = []
     for rule in targets:
         ant = rule.antecedent
         if ant:
@@ -94,14 +96,10 @@ def synth_generate(spec: SyntheticSpec) -> tuple[Sequence, tuple[Rule, ...]]:
             ends = np.arange(spec.length)
         for e in ends:
             if rng.random() < ip:
-                insertions.setdefault(int(e), []).append(rule.consequent)
-
-    out: list[int] = []
-    for idx in range(spec.length):
-        out.append(int(base[idx]))
-        for cons in insertions.get(idx, ()):
-            out.extend(cons)
-    return Sequence(alphabet, tuple(out[: spec.length])), targets
+                at += [int(e) + 1] * len(rule.consequent)
+                inserted += rule.consequent
+    out = np.insert(base, at, inserted)[: spec.length]
+    return Sequence(alphabet, out), targets
 
 
 def hit_rate(
@@ -189,19 +187,19 @@ class BigramPredictor:
         self.alphabet = train.alphabet
         k = len(train.alphabet)
         table = np.zeros((k, k), dtype=np.float64)
-        ids = train.ids
-        for a, b in zip(ids, ids[1:]):
-            table[a, b] += 1.0
+        np.add.at(table, (train.array[:-1], train.array[1:]), 1.0)
         row = table.sum(axis=1, keepdims=True)
         np.divide(table, row, out=table, where=row > 0)
         self.table = table
 
-    def position_distributions(self, s: Sequence) -> np.ndarray:
-        ids = _aligned_ids(s, self.alphabet)
-        out = np.zeros((ids.size, len(self.alphabet)))
-        if ids.size > 1:
-            out[1:] = self.table[ids[:-1]]
-        return out
+    def choices(self, s: Sequence) -> tuple[np.ndarray, np.ndarray]:
+        """Per position of s, the top frequency and the symbol it picks."""
+        prev = s.reindexed(self.alphabet).array[:-1]
+        top = np.zeros(len(s))
+        pick = np.zeros(len(s), dtype=np.int64)
+        top[1:] = self.table.max(axis=1)[prev]
+        pick[1:] = self.table.argmax(axis=1)[prev]
+        return top, pick
 
 
 class UniformPredictor:
@@ -210,10 +208,10 @@ class UniformPredictor:
     def __init__(self, alphabet: Alphabet):
         self.alphabet = alphabet
 
-    def position_distributions(self, s: Sequence) -> np.ndarray:
-        k = len(self.alphabet)
-        ids = _aligned_ids(s, self.alphabet)
-        return np.full((ids.size, k), 1.0 / k)
+    def choices(self, s: Sequence) -> tuple[np.ndarray, np.ndarray]:
+        """Per position of s, confidence 1/k in the first symbol."""
+        n = len(s)
+        return np.full(n, 1.0 / len(self.alphabet)), np.zeros(n, dtype=np.int64)
 
 
 def bigram_baseline(train: Sequence) -> BigramPredictor:
@@ -247,15 +245,14 @@ def evaluate_prediction(
     The recall/precision points over the sweep are summarized by a
     trapezoidal area.
     """
-    truth = _aligned_ids(test, predictor.alphabet)
+    truth = test.reindexed(predictor.alphabet).array
     n = truth.size
     if n == 0:
         raise ValueError("empty input")
     if isinstance(predictor, Model):
         top, pick = _model_choices(predictor, truth)
     else:
-        dists = predictor.position_distributions(test)
-        top, pick = dists.max(axis=1), dists.argmax(axis=1)
+        top, pick = predictor.choices(test)
     good = pick == truth
     metrics = []
     for tau in taus:
@@ -324,10 +321,8 @@ def train_classifier(
 
     models: dict[str, Model] = {}
     for label, seqs in per_class.items():
-        ids: list[int] = []
-        for q in seqs:
-            ids.extend(q.reindexed(shared).ids)
-        models[label] = cossu_mine(Sequence(shared, tuple(ids)), config)
+        ids = np.concatenate([q.reindexed(shared).array for q in seqs])
+        models[label] = cossu_mine(Sequence(shared, ids), config)
     return ClassifierModel(models)
 
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
 from .closed import ClosedPattern
 from .sequence import Alphabet, FrequencyTable, Sequence, match_ends
 
@@ -116,9 +114,8 @@ def rule_support_confidence(rule: Rule, s: Sequence) -> tuple[int, float]:
     if len(s) == 0:
         raise ValueError("empty input")
     n = len(s)
-    arr = np.asarray(s.ids, dtype=np.int64)
-    applies = match_ends(arr, rule.antecedent + rule.consequent).size
-    triggers = match_ends(arr, rule.antecedent).size if rule.antecedent else n
+    applies = match_ends(s.array, rule.antecedent + rule.consequent).size
+    triggers = match_ends(s.array, rule.antecedent).size if rule.antecedent else n
     confidence = applies / triggers if triggers else 0.0
     return applies, confidence
 
@@ -155,14 +152,19 @@ def generate_candidates(
     Pattern P of length L yields the L splits P[1,k] -> P[k+1,L] for
     k = 0..L-1; singleton rules are dropped and duplicates merged.
     """
-    seen: dict[Rule, None] = {}
+    return list(_splits(closed))
+
+
+def _splits(closed: Iterable[ClosedPattern]) -> dict[Rule, ClosedPattern]:
+    """Each candidate rule, first occurrence first, with its pattern."""
+    seen: dict[Rule, ClosedPattern] = {}
     for cp in closed:
-        ids = cp.pattern.ids
+        ids = cp.pattern.array.tolist()
         for k in range(len(ids)):
-            rule = Rule(ids[:k], ids[k:])
+            rule = Rule(tuple(ids[:k]), tuple(ids[k:]))
             if not rule.is_singleton:
-                seen.setdefault(rule, None)
-    return list(seen)
+                seen.setdefault(rule, cp)
+    return seen
 
 
 def compression_gain(rule: Rule, s: Sequence, f: FrequencyTable) -> float:
@@ -196,10 +198,8 @@ def candidate_gains(
     support is its pattern's support, and its antecedent's trigger count
     is the pattern's prefix support (n for an empty antecedent).
     """
-    by_ids = {cp.pattern.ids: cp for cp in closed}
     out: list[tuple[Rule, float]] = []
-    for rule in generate_candidates(by_ids.values(), s):
-        cp = by_ids[rule.antecedent + rule.consequent]
+    for rule, cp in _splits(closed).items():
         k = len(rule.antecedent)
         triggers = cp.prefix_supports[k - 1] if k else len(s)
         out.append((rule, _gain(rule, cp.support, cp.support / triggers, f)))

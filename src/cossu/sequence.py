@@ -1,8 +1,9 @@
 """Symbols, alphabets, sequences and contiguous-match primitives.
 
-Positions in the public API are 1-based; the internal representation is a
-plain tuple of interned integer ids. `match_ends` is the one contiguous-match
-scan: every match, trigger and rule-activity computation goes through it.
+Positions in the public API are 1-based; a sequence stores its interned ids
+once, as a read-only array of the alphabet's `id_dtype` (do arithmetic on ids
+in int64). `match_ends` is the one contiguous-match scan: every match,
+trigger and rule-activity computation goes through it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ class Alphabet:
     alphabets built from the same token set intern identically.
     """
 
-    __slots__ = ("_tokens", "_index")
+    __slots__ = ("_tokens", "_index", "id_dtype")
 
     def __init__(self, tokens: Iterable[str]):
         toks = sorted(tokens)
@@ -41,6 +42,8 @@ class Alphabet:
                 raise ValueError(f"duplicate token: {a!r}")
         self._tokens: tuple[str, ...] = tuple(toks)
         self._index: dict[str, int] = {t: i for i, t in enumerate(self._tokens)}
+        #: Smallest unsigned dtype that holds every id (uint8 up to 256 tokens).
+        self.id_dtype = np.min_scalar_type(len(toks) - 1)
 
     @property
     def tokens(self) -> tuple[str, ...]:
@@ -80,35 +83,67 @@ class Alphabet:
         return f"Alphabet({list(self._tokens)!r})"
 
 
-@dataclass(frozen=True)
 class Sequence:
-    """An immutable run of symbol ids over one alphabet."""
+    """An immutable run of symbol ids over one alphabet, stored only in
+    the read-only `array`; `ids` is a tuple view for tests and oracles."""
 
-    alphabet: Alphabet
-    ids: tuple[int, ...]
+    __slots__ = ("alphabet", "array")
 
-    def __post_init__(self) -> None:
-        k = len(self.alphabet)
-        for sid in self.ids:
-            if not 0 <= sid < k:
-                raise ValueError(f"symbol id out of range: {sid}")
+    def __new__(cls, alphabet: Alphabet, ids: Iterable[int] | np.ndarray):
+        arr = np.array(ids)  # a private copy, as it is made read-only
+        if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
+            raise ValueError("symbol ids must be integers, in one flat run")
+        bad = arr[(arr < 0) | (arr >= len(alphabet))]
+        if bad.size:
+            raise ValueError(f"symbol id out of range: {bad[0]}")
+        return cls._trusted(alphabet, arr)
+
+    @classmethod
+    def _trusted(cls, alphabet: Alphabet, run: np.ndarray | tuple) -> "Sequence":
+        """A sequence over ids known to be in range: they are not checked."""
+        s = object.__new__(cls)
+        s.alphabet = alphabet
+        s.array = np.asarray(run, alphabet.id_dtype)
+        s.array.flags.writeable = False
+        return s
 
     @classmethod
     def from_tokens(cls, alphabet: Alphabet, tokens: Iterable[str]) -> "Sequence":
-        return cls(alphabet, tuple(alphabet.id_of(t) for t in tokens))
+        ids = map(alphabet._index.__getitem__, tokens)
+        try:
+            return cls._trusted(alphabet, np.fromiter(ids, alphabet.id_dtype))
+        except KeyError as exc:
+            raise ValueError(f"unknown symbol: {exc.args[0]!r}") from None
+
+    @property
+    def ids(self) -> tuple[int, ...]:
+        return tuple(self.array.tolist())
 
     @property
     def tokens(self) -> tuple[str, ...]:
-        return tuple(self.alphabet.token_of(i) for i in self.ids)
+        return tuple(map(self.alphabet.tokens.__getitem__, self.array.tolist()))
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return self.array.size
+
+    def __eq__(self, other: object) -> bool:
+        same = isinstance(other, Sequence) and self.alphabet == other.alphabet
+        return same and np.array_equal(self.array, other.array)
+
+    def __hash__(self) -> int:
+        return hash((self.alphabet, self.array.tobytes()))
+
+    def __reduce__(self):  # copies and pickles rebuild the read-only array
+        return Sequence, (self.alphabet, self.array)
+
+    def __repr__(self) -> str:
+        return f"Sequence({self.alphabet!r}, {self.array.tolist()!r})"
 
     def symbol_at(self, i: int) -> int:
         """Id of the i-th element, 1-based."""
-        if not 1 <= i <= len(self.ids):
+        if not 1 <= i <= len(self):
             raise IndexError(f"position out of range: {i}")
-        return self.ids[i - 1]
+        return int(self.array[i - 1])
 
     def segment(self, i: int, j: int) -> "Sequence":
         """The contiguous run from position i to j inclusive (1-based).
@@ -117,10 +152,10 @@ class Sequence:
         index pair denotes the empty sequence.
         """
         if i > j:
-            return Sequence(self.alphabet, ())
-        if i < 1 or j > len(self.ids):
+            return Sequence._trusted(self.alphabet, self.array[:0])
+        if i < 1 or j > len(self):
             raise IndexError(f"segment out of range: [{i}, {j}]")
-        return Sequence(self.alphabet, self.ids[i - 1 : j])
+        return Sequence._trusted(self.alphabet, self.array[i - 1 : j])
 
     def reindexed(self, alphabet: Alphabet) -> "Sequence":
         """The same token run interned against another alphabet."""
@@ -129,7 +164,9 @@ class Sequence:
         return Sequence.from_tokens(alphabet, self.tokens)
 
 
-def match_ends(arr: np.ndarray, pattern: tuple[int, ...]) -> np.ndarray:
+def match_ends(
+    arr: np.ndarray, pattern: tuple[int, ...] | np.ndarray
+) -> np.ndarray:
     """0-based end indices of all contiguous matches of the pattern in arr.
 
     Matches may overlap. An empty pattern, or one longer than arr, has none.
@@ -149,10 +186,10 @@ def matches_ending_at(pattern: Sequence, s: Sequence) -> list[int]:
     if len(pattern) == 0:
         raise ValueError("empty pattern")
     try:
-        pat = pattern.reindexed(s.alphabet).ids
+        pat = pattern.reindexed(s.alphabet).array
     except ValueError:  # a token s's alphabet lacks cannot occur in s
         return []
-    return (match_ends(np.asarray(s.ids, dtype=np.int64), pat) + 1).tolist()
+    return (match_ends(s.array, pat) + 1).tolist()
 
 
 def matches_starting_at(pattern: Sequence, s: Sequence) -> list[int]:
@@ -234,7 +271,5 @@ def frequencies(s: Sequence) -> FrequencyTable:
     """Empirical symbol frequencies of s; rejects the empty sequence."""
     if len(s) == 0:
         raise ValueError("empty input")
-    counts = np.bincount(
-        np.asarray(s.ids, dtype=np.int64), minlength=len(s.alphabet)
-    )
+    counts = np.bincount(s.array, minlength=len(s.alphabet))
     return FrequencyTable(s.alphabet, counts, len(s))

@@ -106,6 +106,24 @@ class TestEnginesAgree:
                 }
                 assert got == expect
 
+    @pytest.mark.parametrize("k", [256, 257])
+    def test_id_255_before_repeats(self, k):
+        """Id 255 is the largest a 1-byte id holds: it precedes every
+        repeat of a pattern that also starts the sequence, so the start of
+        the sequence must stay a left context of its own."""
+        rng = random.Random(k)
+        alphabet = Alphabet(f"t{i:03d}" for i in range(k))
+        for _ in range(20):
+            pattern = [rng.randrange(k) for _ in range(rng.randint(1, 4))]
+            ids = list(pattern)
+            for _ in range(rng.randint(1, 3)):
+                ids += [rng.randrange(k) for _ in range(rng.randint(0, 6))]
+                ids += [255] + pattern
+            s = Sequence(alphabet, ids)
+            brute = mine_closed(s, method="brute")
+            assert brute == mine_closed(s, method="suffix")
+            assert any(cp.pattern.ids == tuple(pattern) for cp in brute)
+
     def test_length_cap(self):
         rng = random.Random(5)
         for _ in range(20):

@@ -267,17 +267,29 @@ class TestDataCodeLength:
         assert report.data_bits == pytest.approx(data_code_length(m, worked))
 
     def test_matches_per_position_replay(self):
+        self.check_replay((0, 1, 2))
+
+    def test_replay_over_two_byte_ids(self):
+        """Ids 255 and 256 of a 257-symbol alphabet need 2-byte ids."""
+        self.check_replay((0, 255, 256))
+
+    @staticmethod
+    def check_replay(symbols):
+        """Random sequences and rules over three symbols: data bits and
+        distributions against per-history `predictive_distribution`."""
         rng = random.Random(11)
+        alphabet = Alphabet(f"t{i:03d}" for i in range(symbols[-1] + 1))
         for _ in range(8):
-            s = random_seq(rng, 40, 3)
+            drawn = random_seq(rng, 40, 3).ids
+            s = Sequence(alphabet, [symbols[i] for i in drawn])
             f = frequencies(s)
             m = Model.empty(f)
             for _ in range(rng.randint(0, 2)):
                 a = tuple(
-                    rng.randrange(3) for _ in range(rng.randint(0, 2))
+                    symbols[rng.randrange(3)] for _ in range(rng.randint(0, 2))
                 )
                 c = tuple(
-                    rng.randrange(3) for _ in range(rng.randint(1, 2))
+                    symbols[rng.randrange(3)] for _ in range(rng.randint(1, 2))
                 )
                 rule = Rule(a, c)
                 if rule.is_singleton or rule in m.rules:
@@ -290,7 +302,7 @@ class TestDataCodeLength:
                 replay += -math.log2(p)
             assert data_code_length(m, s) == pytest.approx(replay, abs=1e-9)
             rows = position_distributions(m, s)
-            assert rows.shape == (len(s), 3)
+            assert rows.shape == (len(s), len(alphabet))
             for t in range(len(s)):
                 expect = predictive_distribution(m, s.ids[:t])
                 assert np.allclose(rows[t], expect, atol=1e-12)

@@ -1,5 +1,6 @@
 import random
 import statistics
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -70,6 +71,33 @@ class TestSynthGenerate:
             SyntheticSpec(distribution={"A": 1.0})
         with pytest.raises(ValueError):
             SyntheticSpec(insertion_probability=1.5)
+
+    def test_matches_one_insertion_at_a_time(self):
+        """Rules that insert at the same point keep their listed order."""
+        spec = SyntheticSpec(
+            length=400,
+            rules=((("A",), ("B",)), (("C", "A"), ("D", "E")), ((), ("C",))),
+            insertion_probability=0.5,
+            seed=8,
+        )
+        s, targets = synth_generate(spec)
+        # The generator as a loop over the base draw, in its RNG order.
+        rng = np.random.default_rng(spec.seed)
+        base = rng.choice(5, size=spec.length, p=np.full(5, 0.2)).tolist()
+        insertions = {}
+        for rule in targets:
+            ant = rule.antecedent
+            for e in range(max(len(ant), 1) - 1, spec.length):
+                if tuple(base[e - len(ant) + 1 : e + 1]) == ant:
+                    if rng.random() < spec.insertion_probability:
+                        insertions.setdefault(e, []).append(rule.consequent)
+        out = []
+        for e, sid in enumerate(base):
+            out.append(sid)
+            for cons in insertions.get(e, ()):
+                out.extend(cons)
+        assert any(len(v) > 1 for v in insertions.values())
+        assert s.ids == tuple(out[: spec.length])
 
     def test_custom_distribution_respected(self):
         dist = {"A": 0.7, "B": 0.1, "C": 0.1, "D": 0.05, "E": 0.05}
@@ -204,6 +232,58 @@ class TestEvaluatePrediction:
         assert any(0 < tm.predicted < len(s) for tm in outcome.metrics)
 
 
+class TestBaselineChoices:
+    @staticmethod
+    def dense(predictor, s):
+        """The (n, k) distributions the baselines predict from, built in
+        full: the previous symbol's bigram row (zeros at the first
+        position), or 1/k everywhere."""
+        k = len(s.alphabet)
+        if isinstance(predictor, UniformPredictor):
+            return np.full((len(s), k), 1.0 / k)
+        rows = np.zeros((len(s), k))
+        ids = s.ids
+        for t in range(1, len(s)):
+            rows[t] = predictor.table[ids[t - 1]]
+        return rows
+
+    def test_outcomes_match_dense_computation(self):
+        rng = random.Random(21)
+        alphabet = Alphabet(["a", "b", "c", "d"])
+        # "d" never occurs in training: its row is all zeros.
+        train = Sequence(alphabet, [rng.randrange(3) for _ in range(40)])
+        test = Sequence(alphabet, [rng.randrange(4) for _ in range(300)])
+        table = np.zeros((4, 4))
+        for a, b in zip(train.ids, train.ids[1:]):
+            table[a, b] += 1.0
+        table /= np.maximum(table.sum(axis=1, keepdims=True), 1.0)
+        assert np.array_equal(bigram_baseline(train).table, table)
+        taus = (0.0, 0.2, 0.3, 0.5, 0.9)
+        for predictor in (bigram_baseline(train), UniformPredictor(alphabet)):
+            dists = self.dense(predictor, test)
+            top, pick = predictor.choices(test)
+            assert np.array_equal(top, dists.max(axis=1))
+            assert np.array_equal(pick, dists.argmax(axis=1))
+            good = dists.argmax(axis=1) == np.asarray(test.ids)
+            outcome = evaluate_prediction(predictor, test, taus)
+            for tm in outcome.metrics:
+                answer = dists.max(axis=1) > tm.tau
+                assert tm.predicted == int(answer.sum())
+                assert tm.correct == int((answer & good).sum())
+
+    def test_bigram_memory_bounded(self):
+        n = 1_000_000
+        ids = np.random.default_rng(3).integers(0, 20, size=n)
+        s = Sequence(Alphabet(f"s{i:02d}" for i in range(20)), ids)
+        tracemalloc.start()
+        try:
+            evaluate_prediction(bigram_baseline(s), s, (0.0, 0.3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
+
+
 class TestBigram:
     def test_alternation_perfect(self):
         alphabet = Alphabet(["a", "b"])
@@ -220,10 +300,10 @@ class TestBigram:
         alphabet = Alphabet(["a", "b"])
         train = Sequence.from_tokens(alphabet, list("abab"))
         predictor = bigram_baseline(train)
-        rows = predictor.position_distributions(
+        top, pick = predictor.choices(
             Sequence.from_tokens(alphabet, list("ab"))
         )
-        assert rows[0].sum() == 0.0
+        assert top[0] == 0.0 and pick[0] == 0
 
     def test_uniform_noise_near_chance(self):
         s, _ = synth_generate(SyntheticSpec(seed=77, rules=()))

@@ -1,16 +1,21 @@
 import json
+import random
 
 import pytest
 
 from cossu import (
+    Alphabet,
     Model,
     Rule,
+    Sequence,
     frequencies,
     load_model,
     model_from_dict,
     model_to_dict,
     model_to_json,
+    read_sequence,
     save_model,
+    write_sequence,
 )
 from cossu.model_io import parse_sequence
 
@@ -107,3 +112,16 @@ class TestSequenceParsing:
         assert s.alphabet is worked.alphabet
         with pytest.raises(ValueError, match="unknown symbol"):
             parse_sequence("z", alphabet=worked.alphabet)
+
+    @pytest.mark.parametrize("k", [3, 257])
+    def test_file_round_trip(self, k, tmp_path):
+        rng = random.Random(k)
+        alphabet = Alphabet(f"t{i:03d}" for i in range(k))
+        s = Sequence(alphabet, [rng.randrange(k) for _ in range(1000)])
+        path = tmp_path / "seq.txt"
+        write_sequence(s, path)
+        back = read_sequence(path, alphabet=alphabet)
+        assert back == s and back.array.dtype == s.array.dtype
+        # Without a given alphabet, the tokens that occur form it.
+        inferred = read_sequence(path)
+        assert inferred.tokens == s.tokens

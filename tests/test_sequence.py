@@ -1,4 +1,7 @@
+import copy
 import math
+import pickle
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -66,6 +69,65 @@ class TestSequence:
             Sequence(Alphabet(["a", "b"]), (0, -1, 1))
         with pytest.raises(ValueError, match="out of range: 2"):
             Sequence(Alphabet(["a", "b"]), (0, 1, 2))
+
+    @pytest.mark.parametrize("ids", [(0.5,), (True,), (0, 1.0), ("a",)])
+    def test_non_integer_ids_rejected(self, ids):
+        with pytest.raises(ValueError, match="must be integers"):
+            Sequence(Alphabet(["a", "b"]), ids)
+
+
+def many_tokens(k: int) -> list[str]:
+    """k tokens whose canonical order is their numbering."""
+    return [f"t{i:03d}" for i in range(k)]
+
+
+class TestArrayForm:
+    @pytest.mark.parametrize(
+        "k, dtype", [(1, np.uint8), (256, np.uint8), (257, np.uint16)]
+    )
+    def test_smallest_dtype(self, k, dtype):
+        tokens = many_tokens(k)
+        alphabet = Alphabet(tokens)
+        assert alphabet.id_dtype == dtype
+        assert Sequence(alphabet, (k - 1, 0)).array.dtype == dtype
+        assert Sequence.from_tokens(alphabet, tokens).array.dtype == dtype
+        assert Sequence(alphabet, ()).array.dtype == dtype
+
+    def test_array_is_read_only_and_private(self):
+        given = np.array([0, 2, 1, 2], dtype=np.uint8)
+        s = Sequence(Alphabet(["a", "b", "c"]), given)
+        given[0] = 1
+        assert s.ids == (0, 2, 1, 2)
+        for arr in (s.array, s.segment(2, 3).array, char_seq("abc").array):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+    @pytest.mark.parametrize("k", [5, 257])
+    def test_ids_are_the_tokens_interned_one_by_one(self, k):
+        rng = random.Random(k)
+        alphabet = Alphabet(many_tokens(k))
+        tokens = [rng.choice(alphabet.tokens) for _ in range(500)]
+        s = Sequence.from_tokens(alphabet, tokens)
+        assert s.ids == tuple(alphabet.id_of(t) for t in tokens)
+        assert all(type(i) is int for i in s.ids)
+        assert s.tokens == tuple(tokens)
+        assert Sequence(alphabet, s.ids) == s
+
+    def test_pickle_and_copy_keep_a_read_only_array(self, worked):
+        for twin in (pickle.loads(pickle.dumps(worked)), copy.deepcopy(worked)):
+            assert twin == worked and not twin.array.flags.writeable
+
+    def test_equal_content_equal_hash(self, worked):
+        again = Sequence(worked.alphabet, list(worked.ids))
+        assert again == worked and hash(again) == hash(worked)
+        assert worked.segment(1, 3) == worked.segment(5, 7)  # "abc" twice
+        assert hash(worked.segment(1, 3)) == hash(worked.segment(5, 7))
+        assert len({worked, again, worked.segment(1, 3)}) == 2
+        assert worked.segment(1, 3) != worked.segment(2, 4)
+        other = Sequence(Alphabet(["a", "b", "c", "x", "y"]), worked.ids[:3])
+        assert other != worked.segment(1, 3)  # same ids, other alphabet
+        assert worked != worked.ids
 
 
 class TestMatches:
