@@ -29,7 +29,7 @@ from .evaluation import (
 from .encoding import total_dl
 from .optimize import OptimizerConfig
 from .rules import format_rule, parse_rule
-from .selector import MiningConfig, cossu_mine
+from .selector import COUNTS, MiningConfig, cossu_mine
 from .sequence import Alphabet
 
 
@@ -118,7 +118,19 @@ def _out_stream(path: str | None) -> TextIO:
 
 def cmd_mine(args: argparse.Namespace) -> int:
     s = model_io.read_sequence(args.sequence, args.char_mode)
-    model = cossu_mine(s, args.config, _trace_writer(args))
+    write = _trace_writer(args)
+    stages: dict[str, float] = {}
+    counts: dict[str, int] = {}
+
+    def trace(fields: dict) -> None:
+        if fields["event"] == "stage":
+            stages[fields["stage"]] = fields["seconds"]
+        elif fields["event"] == "done":
+            counts.update((name, fields[name]) for name in COUNTS)
+        if write is not None:
+            write(fields)
+
+    model = cossu_mine(s, args.config, trace)
     model_io.save_model(model, args.out)
     report = total_dl(model, s)
     found = [format_rule(r, model.alphabet) for r in model.non_singletons()]
@@ -131,6 +143,8 @@ def cmd_mine(args: argparse.Namespace) -> int:
                     "data_bits": report.data_bits,
                     "total_bits": report.total,
                     "out": str(args.out),
+                    "stages": stages,
+                    "counts": counts,
                 },
                 ensure_ascii=False,
             )
@@ -405,7 +419,11 @@ def build_parser() -> _Parser:
     sp.add_argument("sequence")
     sp.add_argument("--out", required=True)
     sp.add_argument("--char-mode", action="store_true")
-    sp.add_argument("--json", action="store_true")
+    sp.add_argument(
+        "--json",
+        action="store_true",
+        help="print one JSON summary: rules, bits, stage seconds and counts",
+    )
     _add_mining_args(sp)
     sp.set_defaults(func=cmd_mine)
 

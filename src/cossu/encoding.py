@@ -214,6 +214,8 @@ class SequenceScorer:
     (den) and the same weight behind the symbol that occurs (num), so the
     data bits are sum(count * (log2(den) - log2(num))) over the classes,
     and weight changes and objective calls cost O(classes), not O(n).
+    `objective_evals` counts the objective evaluations made on this state
+    and carries over to clones.
 
     Adding a rule splits the classes its active positions fall in. Removing
     one leaves the partition as it is, which stays exact, only finer than
@@ -240,6 +242,7 @@ class SequenceScorer:
         # Row r holds proper rule k + r's stage counts per class.
         self._p = np.zeros((0, sym.size))
         self._q = np.zeros((0, sym.size))
+        self.objective_evals = 0
         for rule, w in zip(model.rules[self.k :], model.weights[self.k :]):
             self._append(rule, float(w))
         self._recompute()
@@ -251,9 +254,9 @@ class SequenceScorer:
         so that it has one (p, q) throughout each class."""
         pos, p, q = _rule_activity(self.s_arr, rule)
         base = len(rule.consequent) + 1  # p <= q < base
-        key = (self._cls[pos] * base + q.astype(np.int64)) * base
-        key += p.astype(np.int64)
-        groups, inverse = np.unique(key, return_inverse=True)
+        groups, inverse = np.unique(
+            self._split_key(pos, p, q, base), return_inverse=True
+        )
         inverse = inverse.reshape(-1)
         size = np.bincount(inverse, minlength=groups.size).astype(np.float64)
         parent = groups // (base * base)
@@ -289,6 +292,15 @@ class SequenceScorer:
         self.weights = np.append(self.weights, weight)
         self.num += weight * p_new
         self.den += weight * q_new
+
+    def _split_key(
+        self, pos: np.ndarray, p: np.ndarray, q: np.ndarray, base: int
+    ) -> np.ndarray:
+        """One integer per active position: its class, q and p, with
+        p <= q < base. Equal keys land in one class once the rule is in."""
+        key = (self._cls[pos] * base + q.astype(np.int64)) * base
+        key += p.astype(np.int64)
+        return key
 
     def _stage_counts(self, index: int) -> tuple[np.ndarray, np.ndarray]:
         """Per-class (p, q) of rule `index`; a singleton is on everywhere."""
@@ -327,9 +339,6 @@ class SequenceScorer:
         w0 = float(self.weights[index])
         p, q = self._stage_counts(index)
         on = np.flatnonzero(q)
-        if on.size == 0:
-            total = self._total
-            return (lambda w: total), w0
         count, p, q = self._count[on], p[on], q[on]
         base_num, base_den = self.num[on], self.den[on]
         rest = self._total - float(
@@ -337,12 +346,63 @@ class SequenceScorer:
         )
 
         def objective(w: float) -> float:
+            self.objective_evals += 1
             d = w - w0
             return rest + float(
                 count @ (np.log2(base_den + d * q) - np.log2(base_num + d * p))
             )
 
         return objective, w0
+
+    def lane_objective(
+        self,
+        activities: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+        initial: float,
+    ):
+        """Data bits of one tentative state per lane, as a function of an
+        array of one weight per lane.
+
+        Lane i's state is this one plus the rule whose `_rule_activity` is
+        activities[i], added at weight `initial`. Each lane's positions are
+        grouped by (class, q, p), which are the classes adding its rule
+        would make, so an objective call costs one pass over the groups of
+        all lanes and copies nothing of size n.
+        """
+        m = len(activities)
+        base = 1 + int(max(q.max(initial=0) for _, _, q in activities))
+        span = self._sym.size * base * base
+        key = np.empty(sum(pos.size for pos, _, _ in activities), np.int64)
+        at = 0
+        for i, (pos, p, q) in enumerate(activities):
+            key[at : at + pos.size] = self._split_key(pos, p, q, base)
+            key[at : at + pos.size] += i * span
+            at += pos.size
+        groups, size = np.unique(key, return_counts=True)
+        del key
+        lane, cls = groups // span, groups % span // (base * base)
+        p = (groups % base).astype(np.float64)
+        q = (groups // base % base).astype(np.float64)
+        count = size.astype(np.float64)
+        base_num, base_den = self.num[cls], self.den[cls]
+        rest = self._total - np.bincount(
+            lane,
+            weights=count * (np.log2(base_den) - np.log2(base_num)),
+            minlength=m,
+        )
+        base_num = base_num + initial * p
+        base_den = base_den + initial * q
+
+        def objective(w: np.ndarray) -> np.ndarray:
+            self.objective_evals += m
+            d = (w - initial)[lane]
+            return rest + np.bincount(
+                lane,
+                weights=count
+                * (np.log2(base_den + d * q) - np.log2(base_num + d * p)),
+                minlength=m,
+            )
+
+        return objective
 
     # -- mutations --------------------------------------------------------
 
@@ -409,18 +469,20 @@ def _rule_activity(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Where a rule is active in ids: sorted positions, with the number of
     stages active there (q) and of those predicting the symbol that occurs
-    (p), both as floats.
+    (p), both in the smallest unsigned dtype that holds the stage count, so
+    that a block of screened activities stays small.
     """
+    counts = np.min_scalar_type(len(rule.consequent))
     hits = [(t, ids[t] == sym) for t, sym in _stage_activity(ids, rule)]
     if len(hits) == 1:
         t, good = hits[0]
-        return t, good.astype(np.float64), np.ones(t.size)
+        return t, good.astype(counts), np.ones(t.size, counts)
     t = np.concatenate([h[0] for h in hits])
     good = np.concatenate([h[1] for h in hits])
     pos, inverse = np.unique(t, return_inverse=True)
     inverse = inverse.reshape(-1)
-    q = np.bincount(inverse, minlength=pos.size).astype(np.float64)
-    p = np.bincount(inverse, weights=good, minlength=pos.size)
+    q = np.bincount(inverse, minlength=pos.size).astype(counts)
+    p = np.bincount(inverse, weights=good, minlength=pos.size).astype(counts)
     return pos, p, q
 
 

@@ -3,14 +3,18 @@
 The data bits of a model are minimized one weight at a time inside a fixed
 bracket, keeping every other weight put. Weight-table bits are held fixed
 during the search and settled afterwards, when weights are scaled into
-(0, 1) and rounded to the working precision.
+(0, 1) and rounded to the working precision. Many independent one-weight
+problems (lanes) can also be searched in lockstep, with one vectorised
+objective call per iteration for all of them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence as _Seq
+from typing import Callable
+
+import numpy as np
 
 from .encoding import Model, SequenceScorer, quantize_weight
 from .sequence import Sequence
@@ -85,6 +89,62 @@ def golden_section_minimize(
     return 0.5 * (a + b)
 
 
+def golden_section_lanes(
+    f: Callable[[np.ndarray], np.ndarray],
+    lo: np.ndarray,
+    hi: np.ndarray,
+    tol: float,
+) -> np.ndarray:
+    """Lane-wise argmin of f on [lo, hi], one golden-section search per lane.
+
+    f maps one point per lane to one value per lane, and lane i is
+    searched on f(x)[i] alone. Every lane takes the steps, and returns the
+    point, that `golden_section_minimize` would on that function; a lane
+    stops once its own bracket is within tol while the others go on.
+    Each iteration is one call of f for all lanes; non-finite values in
+    a running lane abort.
+    """
+    a = np.array(lo, dtype=np.float64)
+    b = np.array(hi, dtype=np.float64)
+    if not np.all(a < b):
+        raise ValueError("bracket must satisfy lo < hi")
+    if tol <= 0.0:
+        raise ValueError("tolerance must be positive")
+
+    def checked(x: np.ndarray, live: np.ndarray) -> np.ndarray:
+        y = f(x)
+        bad = live & ~np.isfinite(y)
+        if bad.any():
+            at = x[np.flatnonzero(bad)[0]]
+            raise ValueError(f"objective returned a non-finite value at {at}")
+        return y
+
+    live = np.ones(a.shape, dtype=bool)
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = checked(c, live), checked(d, live)
+    live = b - a > tol
+    while live.any():
+        left = live & (fc < fd)
+        right = live & ~left
+        # Left lanes keep [a, d] and reuse c as their new d; right lanes
+        # keep [c, b] and reuse d as their new c. Each gets one new point.
+        b, d, fd, a, c, fc = (
+            np.where(left, d, b),
+            np.where(left, c, d),
+            np.where(left, fc, fd),
+            np.where(right, c, a),
+            np.where(right, d, c),
+            np.where(right, fd, fc),
+        )
+        x = np.where(left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
+        fx = checked(x, live)
+        c, fc = np.where(left, x, c), np.where(left, fx, fc)
+        d, fd = np.where(right, x, d), np.where(right, fx, fd)
+        live = b - a > tol
+    return 0.5 * (a + b)
+
+
 def coordinate_step(
     scorer: SequenceScorer, index: int, config: OptimizerConfig
 ) -> bool:
@@ -99,14 +159,31 @@ def coordinate_step(
     return False
 
 
-def coordinate_pass(
-    scorer: SequenceScorer,
+def lane_steps(
+    f: Callable[[np.ndarray], np.ndarray],
+    initial: np.ndarray,
     config: OptimizerConfig,
-    indices: _Seq[int] | None = None,
-) -> None:
-    """One descent sweep over the given rule indices (all, by default)."""
-    targets = range(len(scorer.rules)) if indices is None else indices
-    for index in targets:
+) -> tuple[np.ndarray, np.ndarray]:
+    """`coordinate_step` for independent one-weight lanes, in lockstep.
+
+    f gives each lane's data bits at one weight per lane. A lane moves to
+    its golden-section argmin only when that strictly improves on its
+    initial weight. Returns each lane's weight and its value of f there.
+    """
+    best = golden_section_lanes(
+        f,
+        np.full(initial.shape, config.lower),
+        np.full(initial.shape, config.upper),
+        config.tolerance,
+    )
+    at_best, at_initial = f(best), f(initial)
+    commit = at_best < at_initial
+    return np.where(commit, best, initial), np.where(commit, at_best, at_initial)
+
+
+def coordinate_pass(scorer: SequenceScorer, config: OptimizerConfig) -> None:
+    """One descent sweep over every rule weight, in model order."""
+    for index in range(len(scorer.rules)):
         coordinate_step(scorer, index, config)
 
 

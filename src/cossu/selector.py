@@ -3,24 +3,31 @@
 The loop bootstraps with the singleton-only model and walks the candidates
 in order of decreasing compression gain. Each candidate is screened on its
 own weight: it is added at the initial weight and one line search tunes
-that weight alone. Only a candidate whose screened total beats the
-incumbent has every weight settled, and it is kept when the settled total
-still strictly drops. After every acceptance the proper rules are swept to
-remove any whose absence now encodes at least as well.
+that weight alone. Candidates are screened in blocks against the same
+incumbent, their line searches run in lockstep, and no tentative model is
+built for them. Only the first candidate of a block whose screened total
+beats the incumbent has every weight settled, and it is kept when the
+settled total still strictly drops; the next block starts after it. After
+every acceptance the proper rules are swept to remove any whose absence
+now encodes at least as well.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable, Iterator
+
+import numpy as np
 
 from .closed import mine_closed
 from .encoding import (
     Model,
     SequenceScorer,
     _check_precision,
+    _rule_activity,
     quantize_weight,
     rule_content_code_length,
     universal_int_code_length,
@@ -28,7 +35,7 @@ from .encoding import (
 )
 from .optimize import (
     OptimizerConfig,
-    coordinate_pass,
+    lane_steps,
     normalize_weights,
     quantize_weights,
     run_passes,
@@ -40,6 +47,22 @@ TraceFn = Callable[[dict], None]
 
 #: Stages of a mining run, each reported once by a `stage` trace event.
 STAGES = ("closed", "gains", "init", "screen", "prune", "finalize")
+
+#: Counters of a mining run, reported by the `done` trace event.
+COUNTS = (
+    "screened", "accepted", "pruned", "line_searches", "objective_evals"
+)
+
+#: Active positions screened in one block. A block takes candidates while
+#: their activities fit in `limit` positions, and at least one candidate.
+#: `limit` starts at FIRST_BLOCK, doubles after each block with no winner,
+#: up to BLOCK_POSITIONS, and starts again after each winner. Early in a
+#: run winners are dense and a small block wastes few lanes; later almost
+#: every candidate is rejected and a large block shares each vectorised
+#: objective call among many lanes. The cap bounds a block's memory
+#: whatever the sequence length.
+FIRST_BLOCK = 1 << 12
+BLOCK_POSITIONS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -63,8 +86,8 @@ class _TableBits:
     Weights are scaled into (0, 1) and rounded to the working precision
     before pricing, so the comparison metric matches what serialization
     will pay. The symbol part of each entry never changes and is cached;
-    so is the price of each scaled weight, as most weights keep their value
-    and their scale from one tentative model to the next.
+    so is the price of each rounded weight, as few distinct rounded values
+    occur in a run.
     """
 
     def __init__(self, freq: FrequencyTable, precision: int):
@@ -81,21 +104,46 @@ class _TableBits:
         return bits
 
     def _weight_bits(self, scaled: float) -> float:
-        bits = self._weight.get(scaled)
+        wq = quantize_weight(scaled, self.precision)
+        bits = self._weight.get(wq)
         if bits is None:
-            wq = quantize_weight(scaled, self.precision)
             bits = weight_code_length(wq, self.precision)
-            self._weight[scaled] = bits
+            self._weight[wq] = bits
         return bits
 
-    def __call__(self, scorer: SequenceScorer) -> float:
-        weights = scorer.weights
-        scale = float(weights.max()) * (1.0 + 1e-9)
-        bits = universal_int_code_length(len(scorer.rules))
-        for rule, w in zip(scorer.rules, weights):
+    def _entries(
+        self, bits: float, scorer: SequenceScorer, scale: float
+    ) -> float:
+        """bits plus the price of every entry of the scorer's table."""
+        for rule, w in zip(scorer.rules, scorer.weights):
             bits += self._content_bits(rule)
             bits += self._weight_bits(float(w) / scale)
         return bits
+
+    def __call__(self, scorer: SequenceScorer) -> float:
+        scale = float(scorer.weights.max()) * (1.0 + 1e-9)
+        return self._entries(
+            universal_int_code_length(len(scorer.rules)), scorer, scale
+        )
+
+    def lanes(
+        self, scorer: SequenceScorer, rules: list[Rule], weights: np.ndarray
+    ) -> np.ndarray:
+        """Table bits of the scorer's table plus each rule at its weight.
+
+        The scorer's entries are priced once, and again for a lane only
+        when its weight is the largest of the table and so sets the scale.
+        """
+        top = float(scorer.weights.max())
+        size = universal_int_code_length(len(scorer.rules) + 1)
+        incumbent = self._entries(size, scorer, top * (1.0 + 1e-9))
+        out = np.empty(len(rules))
+        for i, (rule, w) in enumerate(zip(rules, weights.tolist())):
+            scale = max(top, w) * (1.0 + 1e-9)
+            bits = incumbent if w <= top else self._entries(size, scorer, scale)
+            bits += self._content_bits(rule)
+            out[i] = bits + self._weight_bits(w / scale)
+        return out
 
 
 class _Run:
@@ -114,9 +162,7 @@ class _Run:
         self.trace = trace
         self.table_bits = _TableBits(freq, cfg.precision)
         self.seconds = dict.fromkeys(STAGES, 0.0)
-        self.counts = dict.fromkeys(
-            ("screened", "accepted", "pruned", "line_searches"), 0
-        )
+        self.counts = dict.fromkeys(COUNTS, 0)
 
     def emit(self, **fields) -> None:
         if self.trace is not None:
@@ -133,15 +179,28 @@ class _Run:
     def total(self, scorer: SequenceScorer) -> float:
         return self.table_bits(scorer) + scorer.data_bits
 
-    def tune(self, scorer: SequenceScorer, index: int) -> float:
-        """One line search on weight `index`; the scorer's new total."""
-        coordinate_pass(scorer, self.optimizer, [index])
-        self.counts["line_searches"] += 1
-        return self.total(scorer)
+    def screen(
+        self, scorer: SequenceScorer, block: list[tuple[Rule, float, tuple]]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Screen a block of (rule, gain, activity) against the scorer:
+        each rule's weight after one line search on it alone, starting
+        from the initial weight, and the total of the scorer plus the rule
+        at that weight. The scorer is left as it is."""
+        initial = self.optimizer.initial_weight
+        evals = scorer.objective_evals
+        objective = scorer.lane_objective([a for _, _, a in block], initial)
+        weights, data = lane_steps(
+            objective, np.full(len(block), initial), self.optimizer
+        )
+        self.counts["objective_evals"] += scorer.objective_evals - evals
+        rules = [rule for rule, _, _ in block]
+        return weights, self.table_bits.lanes(scorer, rules, weights) + data
 
     def settle(self, scorer: SequenceScorer) -> float:
         """Coordinate passes over every weight; the scorer's new total."""
+        evals = scorer.objective_evals
         run_passes(scorer, self.optimizer)
+        self.counts["objective_evals"] += scorer.objective_evals - evals
         self.counts["line_searches"] += self.optimizer.passes * len(
             scorer.rules
         )
@@ -156,9 +215,13 @@ def cossu_mine(
     Returns a normalized model whose weights are rounded to the working
     precision; the run is deterministic for fixed input and configuration.
     The trace hook, when given, receives one dict per event: `start`,
-    `init`, one `candidate` per screened candidate, one `prune` per removed
-    rule, one `stage` (with its `seconds`) per entry of STAGES, and `done`
-    with the run's counters.
+    `init`, one `candidate` per screened candidate (with its screened
+    `weight`), one `prune` per removed rule, one `stage` (with its
+    `seconds`) per entry of STAGES, and `done` with the run's counters.
+    `line_searches` counts one search per screened candidate plus the
+    settling searches; `objective_evals` counts every objective evaluation,
+    one per lane of a lockstep search, including the lanes of a block that
+    follow its winner and are screened again in the next block.
     """
     cfg = config or MiningConfig()
     if len(s) == 0:
@@ -191,26 +254,58 @@ def cossu_mine(
         incumbent = run.settle(scorer)
     run.emit(event="init", total=incumbent)
 
-    for rule, gain in candidates:
-        with run.stage("screen"):
-            tentative = scorer.clone()
-            tentative.add_rule(rule, cfg.optimizer.initial_weight)
-            total = run.tune(tentative, len(tentative.rules) - 1)
-            if total < incumbent:
-                # Screening tuned only the new weight; settle the rest
-                # before the comparison that decides acceptance.
-                total = run.settle(tentative)
+    def decided(rule: Rule, gain: float, weight: float, total: float) -> bool:
         accepted = total < incumbent
         run.counts["screened"] += 1
+        run.counts["line_searches"] += 1
         run.emit(
             event="candidate",
             rule=format_rule(rule, s.alphabet),
             gain=gain,
+            weight=weight,
             tentative=total,
             incumbent=incumbent,
             decision="accept" if accepted else "reject",
         )
-        if not accepted:
+        return accepted
+
+    ids = scorer.s_arr
+    fresh = ((r, g, _rule_activity(ids, r)) for r, g in candidates)
+    carried: deque[tuple[Rule, float, tuple]] = deque()
+    limit = FIRST_BLOCK
+    while True:
+        with run.stage("screen"):
+            block, size = [], 0
+            while item := (carried.popleft() if carried else next(fresh, None)):
+                positions = item[2][0].size
+                if block and size + positions > limit:
+                    carried.appendleft(item)
+                    break
+                block.append(item)
+                size += positions
+            if not block:
+                break
+            weights, totals = run.screen(scorer, block)
+            wins = np.flatnonzero(totals < incumbent)
+        end = wins[0] if wins.size else len(block)
+        for (rule, gain, _), w, total in zip(block, weights, totals[:end]):
+            decided(rule, gain, float(w), float(total))
+        if not wins.size:
+            limit = min(2 * limit, BLOCK_POSITIONS)
+            continue
+        # The candidates after the winner are screened again, against
+        # whatever incumbent the winner leaves, in a block that starts small.
+        carried.extendleft(reversed(block[end + 1 :]))
+        limit = FIRST_BLOCK
+        rule, gain, _ = block[end]
+        weight = float(weights[end])
+        with run.stage("screen"):
+            # Screening tuned only the new weight; settle the rest before
+            # the comparison that decides acceptance.
+            tentative = scorer.clone()
+            tentative.add_rule(rule, weight)
+            total = run.settle(tentative)
+        if not decided(rule, gain, weight, total):
             continue
         run.counts["accepted"] += 1
         with run.stage("prune"):

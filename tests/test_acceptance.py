@@ -31,6 +31,7 @@ from cossu import (
     model_code_length,
     model_to_json,
     normalize_weights,
+    parse_rule,
     predictive_distribution,
     quantize_weights,
     rule_support_confidence,
@@ -188,25 +189,38 @@ class TestPropertySuite:
 
     def test_selector_incumbent_monotone(self, monkeypatch):
         seq, _ = synth_generate(SyntheticSpec(seed=31, length=3000))
-        # Each candidate or prune total is the table price of the last
-        # scorer priced plus its data bits; rebuild both from its model.
+        # A settled candidate's or a prune's total is the table price of
+        # the last scorer priced plus its data bits; rebuild both from its
+        # model. A candidate decided on its screened total alone is the
+        # incumbent of its block plus the rule at its screened weight.
         priced = []
         table_bits = selector._TableBits.__call__
+        lanes = selector._TableBits.lanes
 
         def remember(self, scorer):
-            priced[:] = [scorer]
+            priced[:] = [scorer, None]
             return table_bits(self, scorer)
 
+        def remember_block(self, scorer, rules, weights):
+            priced[:] = [scorer, "block"]
+            return lanes(self, scorer, rules, weights)
+
         monkeypatch.setattr(selector._TableBits, "__call__", remember)
+        monkeypatch.setattr(selector._TableBits, "lanes", remember_block)
         events = []
-        rebuilt = 0
+        rebuilt = from_block = 0
 
         def observe(e):
-            nonlocal rebuilt
+            nonlocal rebuilt, from_block
             events.append(e)
             if e["event"] not in ("candidate", "prune"):
                 return
             m = priced[0].model()
+            if priced[1] == "block":
+                assert e["event"] == "candidate"
+                rule = parse_rule(e["rule"], seq.alphabet)
+                m = m.with_rule(rule, e["weight"])
+                from_block += 1
             scratch = model_code_length(
                 quantize_weights(normalize_weights(m))
             ) + data_code_length(m, seq)
@@ -215,7 +229,7 @@ class TestPropertySuite:
             rebuilt += 1
 
         cossu_mine(seq, trace=observe)
-        assert rebuilt > 0
+        assert 0 < from_block < rebuilt
         incumbent = None
         steps = 0
         for e in events:

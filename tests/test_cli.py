@@ -17,6 +17,7 @@ from cossu import (
 )
 from cossu.cli import MAX_TAUS, _worker_count, build_parser, main
 from cossu.evaluation import DEFAULT_TAUS
+from cossu.selector import COUNTS, STAGES
 
 
 #: A small valid model and a sequence it can score.
@@ -325,6 +326,41 @@ class TestTrace:
         stage = "event=stage stage=screen seconds="
         assert any(l.startswith(stage) for l in lines)
         assert "line_searches=" in lines[-1]
+
+    def test_json_stages_and_counts_match_trace(
+        self, capsys, tmp_path, synth_file
+    ):
+        seq_path, _ = synth_file
+        model_path = tmp_path / "m.json"
+        code, out, err = run(
+            capsys,
+            "mine",
+            str(seq_path),
+            "--out",
+            str(model_path),
+            "--json",
+            "--trace",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        events = [
+            dict(field.split("=", 1) for field in line.split())
+            for line in err.splitlines()
+            if line.startswith("event=stage") or line.startswith("event=done")
+        ]
+        stages = {e["stage"]: float(e["seconds"]) for e in events[:-1]}
+        assert list(payload["stages"]) == list(STAGES)
+        for name, seconds in payload["stages"].items():
+            assert seconds == pytest.approx(stages[name], abs=5e-5)
+        done = events[-1]
+        assert done["event"] == "done"
+        assert list(payload["counts"]) == list(COUNTS)
+        for name, count in payload["counts"].items():
+            assert count == int(done[name])
+        assert payload["counts"]["screened"] == sum(
+            "event=candidate" in line for line in err.splitlines()
+        )
+        assert payload["counts"]["objective_evals"] > 0
 
 
 class TestEvalHitrate:

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from cossu import (
@@ -18,7 +19,7 @@ from cossu import (
     SyntheticSpec,
 )
 from cossu.encoding import SequenceScorer
-from cossu.optimize import coordinate_step
+from cossu.optimize import coordinate_step, golden_section_lanes, lane_steps
 
 from conftest import random_seq
 
@@ -54,6 +55,104 @@ class TestGoldenSection:
     def test_bad_bracket(self):
         with pytest.raises(ValueError):
             golden_section_minimize(lambda v: v, 1.0, 0.0, 1e-3)
+
+
+#: Lanes as (a, m, b, v, c): f(x) = a (x - m)^2 + b |x - v| + c. Products
+#: and sums only, so numpy and Python floats give the same bits.
+LANES = [
+    (1.0, 2.0, 0.0, 0.0, 0.0),
+    (3.0, 0.5, 1.0, 0.7, -4.0),
+    (0.0, 0.0, 1.0, 999.0, 0.0),
+    (1e-3, 5e3, 0.0, 0.0, 7.0),  # minimum beyond the default bracket
+    (2.0, -3.0, 0.0, 0.0, 1.0),  # minimum below it
+    (0.0, 0.0, 0.0, 0.0, 5.0),  # flat
+    (1.0, 1.0, 0.0, 0.0, 0.0),  # minimum at the initial weight 1.0
+]
+
+
+def _scalar(lane):
+    a, m, b, v, c = lane
+    return lambda x: a * (x - m) * (x - m) + b * abs(x - v) + c
+
+
+def _lanes(lanes):
+    a, m, b, v, c = (np.array(col) for col in zip(*lanes))
+    return lambda x: a * (x - m) * (x - m) + b * np.abs(x - v) + c
+
+
+class TestGoldenSectionLanes:
+    """The lockstep search against the scalar one, lane by lane."""
+
+    @pytest.mark.parametrize(
+        "lo, hi, tol",
+        [
+            ([1e-6] * 7, [1e3] * 7, 1e-3),
+            (
+                [0.0, 0.0, 900.0, 0.0, -5.0, 0.0, 0.5],
+                [10.0, 1.0, 1e3, 1e4, 5.0, 3.0, 2.0],
+                1e-4,
+            ),
+            ([-1.0] * 7, [100.0] * 7, 0.5),
+        ],
+    )
+    def test_matches_scalar_search(self, lo, hi, tol):
+        got = golden_section_lanes(
+            _lanes(LANES), np.array(lo), np.array(hi), tol
+        )
+        evals = []
+        for i, lane in enumerate(LANES):
+            f, calls = _scalar(lane), [0]
+
+            def counted(x):
+                calls[0] += 1
+                return f(x)
+
+            want = golden_section_minimize(counted, lo[i], hi[i], tol)
+            assert abs(got[i] - want) <= tol
+            assert got[i] == want  # the same steps, float for float
+            evals.append(calls[0])
+        if len(set(lo)) > 1:
+            # per-lane brackets: lanes stop at different iterations
+            assert len(set(evals)) > 1
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            OptimizerConfig(),
+            OptimizerConfig(lower=0.25, upper=40.0, tolerance=1e-6),
+            OptimizerConfig(lower=1e-3, upper=3.0, tolerance=0.1),
+        ],
+    )
+    def test_commit_or_keep_matches_coordinate_step(self, config):
+        initial = np.array([1.0, 0.3, 5.0, 1.0, 2.5, 1.0, 1.0])
+        weights, values = lane_steps(_lanes(LANES), initial, config)
+        kept = 0
+        for i, lane in enumerate(LANES):
+            f = _scalar(lane)
+            best = golden_section_minimize(
+                f, config.lower, config.upper, config.tolerance
+            )
+            commit = f(best) < f(initial[i])
+            want = best if commit else initial[i]
+            assert weights[i] == want
+            assert values[i] == f(want)
+            kept += not commit
+        assert 0 < kept < len(LANES)
+
+    def test_non_finite_rejected(self):
+        def f(x):
+            y = (x - 1.0) ** 2
+            y[1] = math.nan
+            return y
+
+        with pytest.raises(ValueError, match="non-finite"):
+            golden_section_lanes(f, np.zeros(3), np.full(3, 2.0), 1e-3)
+
+    def test_bad_bracket(self):
+        with pytest.raises(ValueError):
+            golden_section_lanes(
+                lambda x: x, np.array([0.0, 1.0]), np.array([1.0, 1.0]), 1e-3
+            )
 
 
 class TestConfig:

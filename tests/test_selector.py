@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -16,9 +17,23 @@ from cossu import (
     synth_generate,
     total_dl,
 )
-from cossu import optimize
+from cossu import optimize, parse_rule, selector
+from cossu.encoding import SequenceScorer
 
 from conftest import char_seq, random_seq
+
+K20 = tuple(chr(ord("A") + i) for i in range(20))
+K20_RULES = tuple(
+    (tuple(a.split()), tuple(c.split()))
+    for a, c in (
+        ("A", "B"),
+        ("C D", "E"),
+        ("F", "G H"),
+        ("I J", "K L"),
+        ("M", "N"),
+        ("O P Q", "R"),
+    )
+)
 
 
 class TestWorkedExample:
@@ -133,7 +148,33 @@ class TestScreening:
             steps += 1
             return step(*args)
 
+        evals = 0
+        weight_objective = SequenceScorer.weight_objective
+        lane_objective = SequenceScorer.lane_objective
+
+        def counted_weight(self, index):
+            objective, w0 = weight_objective(self, index)
+
+            def f(w):
+                nonlocal evals
+                evals += 1
+                return objective(w)
+
+            return f, w0
+
+        def counted_lanes(self, activities, initial):
+            objective = lane_objective(self, activities, initial)
+
+            def f(w):
+                nonlocal evals
+                evals += w.size
+                return objective(w)
+
+            return f
+
         monkeypatch.setattr(optimize, "coordinate_step", counted)
+        monkeypatch.setattr(SequenceScorer, "weight_objective", counted_weight)
+        monkeypatch.setattr(SequenceScorer, "lane_objective", counted_lanes)
         seq, _ = synth_generate(SyntheticSpec(seed=3, length=2000))
         config = MiningConfig(optimizer=OptimizerConfig(passes=passes))
         events = []
@@ -142,19 +183,98 @@ class TestScreening:
         checked = {"accept": 0, "reject": 0}
         for (e, at), (prev, before) in zip(events[1:], events):
             if e["event"] == "candidate":
-                # A prune event is followed by its settling passes, so
-                # only a candidate right after init or another candidate
-                # has its own cost between two events.
+                # A screened candidate runs no scalar search; only one that
+                # beats the incumbent is settled, before its decision. A
+                # prune event is followed by its settling passes, so only
+                # a candidate right after init or another candidate has
+                # its own cost between two events.
                 if prev["event"] in ("init", "candidate"):
                     settle = passes * (rules + 1)
-                    expect = 1 + settle if e["decision"] == "accept" else 1
+                    expect = settle if e["decision"] == "accept" else 0
                     assert at - before == expect
                     checked[e["decision"]] += 1
                 rules += e["decision"] == "accept"
             elif e["event"] == "prune":
                 rules -= 1
         assert checked["accept"] >= 1 and checked["reject"] >= 1
-        assert events[-1][0]["line_searches"] == steps
+        done = events[-1][0]
+        candidates = sum(e["event"] == "candidate" for e, _ in events)
+        assert done["line_searches"] == candidates + steps
+        assert done["objective_evals"] == evals
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SyntheticSpec(seed=3, length=1500),
+            SyntheticSpec(
+                seed=4,
+                length=2500,
+                alphabet=K20,
+                rules=K20_RULES,
+                insertion_probability=0.6,
+            ),
+        ],
+        ids=["k5", "k20"],
+    )
+    def test_block_matches_one_scorer_per_candidate(self, monkeypatch, spec):
+        # The oracle is the per-candidate path that block screening
+        # replaced: clone the incumbent, add the rule at the initial
+        # weight, and run one coordinate step on it.
+        seq, _ = synth_generate(spec)
+        config = MiningConfig()
+        table_bits = selector._TableBits(frequencies(seq), config.precision)
+        incumbents = []
+        screen = selector._Run.screen
+
+        def remember(self, scorer, block):
+            incumbents[:] = [scorer]
+            return screen(self, scorer, block)
+
+        added = []
+        add_rule = SequenceScorer.add_rule
+
+        def counted(self, rule, weight):
+            added.append(rule)
+            return add_rule(self, rule, weight)
+
+        monkeypatch.setattr(selector._Run, "screen", remember)
+        monkeypatch.setattr(SequenceScorer, "add_rule", counted)
+        winners = []
+        checked = 0
+
+        def observe(e):
+            nonlocal checked
+            if e["event"] != "candidate":
+                return
+            rule = parse_rule(e["rule"], seq.alphabet)
+            tentative = incumbents[0].clone()
+            add_rule(tentative, rule, config.optimizer.initial_weight)
+            index = len(tentative.rules) - 1
+            optimize.coordinate_step(tentative, index, config.optimizer)
+            weight = float(tentative.weights[index])
+            total = table_bits(tentative) + tentative.data_bits
+            assert e["weight"] == pytest.approx(weight, rel=1e-9)
+            if total < e["incumbent"]:
+                winners.append(rule)
+            else:
+                assert e["tentative"] == pytest.approx(total, rel=1e-9)
+            checked += 1
+
+        cossu_mine(seq, config, observe)
+        assert added == winners
+        assert 1 <= len(winners) < checked
+    @pytest.mark.slow
+    def test_memory_bounded(self):
+        # A block holds a bounded number of active positions, so mining
+        # memory must not grow with block size times sequence length.
+        seq, _ = synth_generate(SyntheticSpec(seed=301, length=50_000))
+        tracemalloc.start()
+        try:
+            cossu_mine(seq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 70 * 2**20
 
     def test_opt_passes_respected(self):
         rng = random.Random(77)
