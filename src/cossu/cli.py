@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import replace
 from pathlib import Path
 from typing import TextIO
@@ -112,8 +113,11 @@ def _trace_value(v) -> str:
     return str(v)
 
 
-def _out_stream(path: str | None) -> TextIO:
-    return open(path, "w", encoding="utf-8", newline="") if path else sys.stdout
+def _output(path: str | None) -> AbstractContextManager[TextIO]:
+    """The file at `path`, closed on exit, or stdout, left open."""
+    if path:
+        return open(path, "w", encoding="utf-8", newline="")
+    return nullcontext(sys.stdout)
 
 
 def cmd_mine(args: argparse.Namespace) -> int:
@@ -179,6 +183,14 @@ def cmd_score(args: argparse.Namespace) -> int:
         print(f"data_bits={report.data_bits:.6f}")
         print(f"total={report.total:.6f}")
     return 0
+
+
+def _add_spec_args(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--n", type=int, default=5000)
+    sp.add_argument("--alphabet", default="A,B,C,D,E")
+    sp.add_argument("--dist", default="uniform")
+    sp.add_argument("--rules", default="A->B")
+    sp.add_argument("--ip", type=float, default=0.5)
 
 
 def _parse_spec(args: argparse.Namespace) -> SyntheticSpec:
@@ -254,17 +266,13 @@ def cmd_eval_hitrate(args: argparse.Namespace) -> int:
     else:
         results = [_hitrate_run(job) for job in jobs]
     results.sort()
-    stream = _out_stream(args.out)
-    try:
+    with _output(args.out) as stream:
         writer = csv.writer(stream)
         writer.writerow(["seed", "mined_rules", "hit"])
         for seed, mined, hit in results:
             writer.writerow([seed, ";".join(mined), int(hit)])
         rate = 100.0 * sum(hit for _, _, hit in results) / len(results)
         stream.write(f"# hit_rate={rate:.1f}\n")
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
     return 0
 
 
@@ -315,8 +323,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         outcomes["bigram"] = evaluate_prediction(
             bigram_baseline(train), test, args.tau_grid
         )
-    stream = _out_stream(args.out)
-    try:
+    with _output(args.out) as stream:
         writer = csv.writer(stream)
         writer.writerow(["method", "tau", "precision", "recall", "f1"])
         for method, outcome in outcomes.items():
@@ -332,9 +339,6 @@ def cmd_predict(args: argparse.Namespace) -> int:
                 )
         for method, outcome in outcomes.items():
             stream.write(f"# auc method={method} value={outcome.auc:.6f}\n")
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
     return 0
 
 
@@ -388,16 +392,12 @@ def cmd_classify(args: argparse.Namespace) -> int:
             scored += 1
             correct += int(truth == label)
         rows.append((path.name, label, truth))
-    stream = _out_stream(args.out)
-    try:
+    with _output(args.out) as stream:
         writer = csv.writer(stream)
         writer.writerow(["instance", "label", "truth"])
         writer.writerows(rows)
         if scored:
             stream.write(f"# accuracy={correct / scored:.4f} over={scored}\n")
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
     return 0
 
 
@@ -435,11 +435,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=cmd_score)
 
     sp = sub.add_parser("synth", help="generate a planted-rule sequence")
-    sp.add_argument("--n", type=int, default=5000)
-    sp.add_argument("--alphabet", default="A,B,C,D,E")
-    sp.add_argument("--dist", default="uniform")
-    sp.add_argument("--rules", default="A->B")
-    sp.add_argument("--ip", type=float, default=0.5)
+    _add_spec_args(sp)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out")
     sp.add_argument("--targets")
@@ -449,11 +445,7 @@ def build_parser() -> _Parser:
         "eval-hitrate", help="planted-rule recovery over many seeds"
     )
     sp.add_argument("--runs", type=_positive_int, default=20)
-    sp.add_argument("--n", type=int, default=5000)
-    sp.add_argument("--alphabet", default="A,B,C,D,E")
-    sp.add_argument("--dist", default="uniform")
-    sp.add_argument("--rules", default="A->B")
-    sp.add_argument("--ip", type=float, default=0.5)
+    _add_spec_args(sp)
     sp.add_argument("--seed", type=int, default=0, help="base seed")
     sp.add_argument(
         "--threads",

@@ -162,9 +162,6 @@ class Model:
     def non_singletons(self) -> tuple[Rule, ...]:
         return self.rules[len(self.alphabet) :]
 
-    def weight_of(self, rule: Rule) -> float:
-        return self.weights[self.rules.index(rule)]
-
     def with_weights(self, weights: Iterable[float]) -> "Model":
         return replace(self, weights=tuple(float(w) for w in weights))
 
@@ -239,9 +236,11 @@ class SequenceScorer:
         )
         self.num = self.weights[sym]
         self.den = np.full(sym.size, float(self.weights.sum()))
-        # Row r holds proper rule k + r's stage counts per class.
-        self._p = np.zeros((0, sym.size))
-        self._q = np.zeros((0, sym.size))
+        # Row i holds rule i's stage counts per class, in the smallest
+        # unsigned dtype that holds them. A singleton is active everywhere
+        # and predicts correctly where its symbol occurs.
+        self._p = (sym == np.arange(self.k)[:, None]).astype(np.uint8)
+        self._q = np.ones((self.k, sym.size), np.uint8)
         self.objective_evals = 0
         for rule, w in zip(model.rules[self.k :], model.weights[self.k :]):
             self._append(rule, float(w))
@@ -282,8 +281,8 @@ class SequenceScorer:
         cls[pos] = ids[inverse]
         self._cls = cls
 
-        p_new = np.zeros(self._sym.size)
-        q_new = np.zeros(self._sym.size)
+        p_new = np.zeros(self._sym.size, p.dtype)
+        q_new = np.zeros(self._sym.size, q.dtype)
         p_new[ids] = groups % base
         q_new[ids] = groups // base % base
         self._p = np.vstack([self._p, p_new])
@@ -301,14 +300,6 @@ class SequenceScorer:
         key = (self._cls[pos] * base + q.astype(np.int64)) * base
         key += p.astype(np.int64)
         return key
-
-    def _stage_counts(self, index: int) -> tuple[np.ndarray, np.ndarray]:
-        """Per-class (p, q) of rule `index`; a singleton is on everywhere."""
-        if index < self.k:
-            return (self._sym == index).astype(np.float64), np.ones(
-                self._sym.size
-            )
-        return self._p[index - self.k], self._q[index - self.k]
 
     def _recompute(self) -> None:
         self._total = float(
@@ -337,10 +328,11 @@ class SequenceScorer:
         pass over the classes where the rule is active.
         """
         w0 = float(self.weights[index])
-        p, q = self._stage_counts(index)
-        on = np.flatnonzero(q)
-        count, p, q = self._count[on], p[on], q[on]
-        base_num, base_den = self.num[on], self.den[on]
+        on = np.flatnonzero(self._q[index])
+        # float64 once here, not a mixed-dtype product on every call.
+        p = self._p[index, on].astype(np.float64)
+        q = self._q[index, on].astype(np.float64)
+        count, base_num, base_den = self._count[on], self.num[on], self.den[on]
         rest = self._total - float(
             count @ (np.log2(base_den) - np.log2(base_num))
         )
@@ -407,9 +399,8 @@ class SequenceScorer:
     # -- mutations --------------------------------------------------------
 
     def _shift(self, index: int, delta: float) -> None:
-        p, q = self._stage_counts(index)
-        self.num += delta * p
-        self.den += delta * q
+        self.num += delta * self._p[index]
+        self.den += delta * self._q[index]
 
     def set_weight(self, index: int, w: float) -> None:
         delta = float(w) - float(self.weights[index])
@@ -429,8 +420,8 @@ class SequenceScorer:
         self._shift(index, -float(self.weights[index]))
         del self.rules[index]
         self.weights = np.delete(self.weights, index)
-        self._p = np.delete(self._p, index - self.k, axis=0)
-        self._q = np.delete(self._q, index - self.k, axis=0)
+        self._p = np.delete(self._p, index, axis=0)
+        self._q = np.delete(self._q, index, axis=0)
         self._recompute()
 
     def clone(self) -> "SequenceScorer":

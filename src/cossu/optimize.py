@@ -22,7 +22,10 @@ from .sequence import Sequence
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 #: Relative headroom so the largest normalized weight lands strictly below 1.
-_NORMALIZE_MARGIN = 1e-9
+NORMALIZE_MARGIN = 1e-9
+
+#: Weight at which a screened rule enters the model before its line search.
+INITIAL_WEIGHT = 1.0
 
 
 @dataclass(frozen=True)
@@ -31,16 +34,11 @@ class OptimizerConfig:
     upper: float = 1e3
     tolerance: float = 1e-3
     passes: int = 1
-    initial_weight: float = 1.0
 
     def __post_init__(self) -> None:
-        settings = (
-            self.lower, self.upper, self.tolerance, self.initial_weight
-        )
+        settings = (self.lower, self.upper, self.tolerance)
         if not all(math.isfinite(v) for v in settings):
-            raise ValueError(
-                "search bracket, tolerance and initial weight must be finite"
-            )
+            raise ValueError("search bracket and tolerance must be finite")
         if not self.lower < self.upper:
             raise ValueError("search bracket must satisfy lower < upper")
         if self.lower <= 0.0:
@@ -49,8 +47,6 @@ class OptimizerConfig:
             raise ValueError("tolerance must be positive")
         if self.passes < 1:
             raise ValueError("at least one pass required")
-        if self.initial_weight <= 0.0:
-            raise ValueError("initial weight must be positive")
 
 
 def golden_section_minimize(
@@ -181,15 +177,11 @@ def lane_steps(
     return np.where(commit, best, initial), np.where(commit, at_best, at_initial)
 
 
-def coordinate_pass(scorer: SequenceScorer, config: OptimizerConfig) -> None:
-    """One descent sweep over every rule weight, in model order."""
-    for index in range(len(scorer.rules)):
-        coordinate_step(scorer, index, config)
-
-
 def run_passes(scorer: SequenceScorer, config: OptimizerConfig) -> None:
+    """`config.passes` descent sweeps over every rule weight, in model order."""
     for _ in range(config.passes):
-        coordinate_pass(scorer, config)
+        for index in range(len(scorer.rules)):
+            coordinate_step(scorer, index, config)
 
 
 def adjust_weights(
@@ -211,7 +203,7 @@ def normalize_weights(m: Model) -> Model:
     Pure rescaling: predictive distributions, and therefore data bits, are
     unchanged up to float rounding.
     """
-    scale = max(m.weights) * (1.0 + _NORMALIZE_MARGIN)
+    scale = max(m.weights) * (1.0 + NORMALIZE_MARGIN)
     return m.with_weights(w / scale for w in m.weights)
 
 

@@ -10,7 +10,7 @@ history suffix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .closed import ClosedPattern
 from .sequence import Alphabet, FrequencyTable, Sequence, match_ends
@@ -100,7 +100,7 @@ def triggers_at(rule: Rule, s: Sequence, i: int) -> bool:
         return True
     if i < len(a):
         return False
-    return s.ids[i - len(a) : i] == a
+    return tuple(s.array[i - len(a) : i].tolist()) == a
 
 
 def rule_support_confidence(rule: Rule, s: Sequence) -> tuple[int, float]:
@@ -150,21 +150,22 @@ def generate_candidates(
     """Every antecedent/consequent partition of each closed pattern.
 
     Pattern P of length L yields the L splits P[1,k] -> P[k+1,L] for
-    k = 0..L-1; singleton rules are dropped and duplicates merged.
+    k = 0..L-1, singleton rules dropped. Closed patterns are distinct, so
+    their splits are too.
     """
-    return list(_splits(closed))
+    return [rule for _, _, rule in _splits(closed)]
 
 
-def _splits(closed: Iterable[ClosedPattern]) -> dict[Rule, ClosedPattern]:
-    """Each candidate rule, first occurrence first, with its pattern."""
-    seen: dict[Rule, ClosedPattern] = {}
+def _splits(
+    closed: Iterable[ClosedPattern],
+) -> Iterator[tuple[ClosedPattern, int, Rule]]:
+    """Each candidate rule, with its pattern and antecedent length."""
     for cp in closed:
         ids = cp.pattern.array.tolist()
         for k in range(len(ids)):
             rule = Rule(tuple(ids[:k]), tuple(ids[k:]))
             if not rule.is_singleton:
-                seen.setdefault(rule, cp)
-    return seen
+                yield cp, k, rule
 
 
 def compression_gain(rule: Rule, s: Sequence, f: FrequencyTable) -> float:
@@ -199,8 +200,7 @@ def candidate_gains(
     is the pattern's prefix support (n for an empty antecedent).
     """
     out: list[tuple[Rule, float]] = []
-    for rule, cp in _splits(closed).items():
-        k = len(rule.antecedent)
+    for cp, k, rule in _splits(closed):
         triggers = cp.prefix_supports[k - 1] if k else len(s)
         out.append((rule, _gain(rule, cp.support, cp.support / triggers, f)))
     return out

@@ -34,6 +34,8 @@ from .encoding import (
     weight_code_length,
 )
 from .optimize import (
+    INITIAL_WEIGHT,
+    NORMALIZE_MARGIN,
     OptimizerConfig,
     lane_steps,
     normalize_weights,
@@ -121,7 +123,7 @@ class _TableBits:
         return bits
 
     def __call__(self, scorer: SequenceScorer) -> float:
-        scale = float(scorer.weights.max()) * (1.0 + 1e-9)
+        scale = float(scorer.weights.max()) * (1.0 + NORMALIZE_MARGIN)
         return self._entries(
             universal_int_code_length(len(scorer.rules)), scorer, scale
         )
@@ -136,10 +138,10 @@ class _TableBits:
         """
         top = float(scorer.weights.max())
         size = universal_int_code_length(len(scorer.rules) + 1)
-        incumbent = self._entries(size, scorer, top * (1.0 + 1e-9))
+        incumbent = self._entries(size, scorer, top * (1.0 + NORMALIZE_MARGIN))
         out = np.empty(len(rules))
         for i, (rule, w) in enumerate(zip(rules, weights.tolist())):
-            scale = max(top, w) * (1.0 + 1e-9)
+            scale = max(top, w) * (1.0 + NORMALIZE_MARGIN)
             bits = incumbent if w <= top else self._entries(size, scorer, scale)
             bits += self._content_bits(rule)
             out[i] = bits + self._weight_bits(w / scale)
@@ -186,11 +188,11 @@ class _Run:
         each rule's weight after one line search on it alone, starting
         from the initial weight, and the total of the scorer plus the rule
         at that weight. The scorer is left as it is."""
-        initial = self.optimizer.initial_weight
         evals = scorer.objective_evals
-        objective = scorer.lane_objective([a for _, _, a in block], initial)
+        activities = [a for _, _, a in block]
+        objective = scorer.lane_objective(activities, INITIAL_WEIGHT)
         weights, data = lane_steps(
-            objective, np.full(len(block), initial), self.optimizer
+            objective, np.full(len(block), INITIAL_WEIGHT), self.optimizer
         )
         self.counts["objective_evals"] += scorer.objective_evals - evals
         rules = [rule for rule, _, _ in block]
@@ -334,10 +336,7 @@ def _prune(
     increases.
     """
     for rule in list(scorer.rules[scorer.k :]):
-        try:
-            index = scorer.rules.index(rule, scorer.k)
-        except ValueError:
-            continue  # already removed this sweep
+        index = scorer.rules.index(rule, scorer.k)
         test = scorer.clone()
         test.remove_rule(index)
         total = run.total(test)

@@ -162,7 +162,6 @@ class TestConfig:
         assert cfg.upper == 1e3
         assert cfg.tolerance == 1e-3
         assert cfg.passes == 1
-        assert cfg.initial_weight == 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -171,7 +170,7 @@ class TestConfig:
             OptimizerConfig(tolerance=0.0)
         with pytest.raises(ValueError):
             OptimizerConfig(passes=0)
-        for field in ("lower", "upper", "tolerance", "initial_weight"):
+        for field in ("lower", "upper", "tolerance"):
             for value in (math.nan, math.inf):
                 with pytest.raises(ValueError, match="finite"):
                     OptimizerConfig(**{field: value})

@@ -21,6 +21,7 @@ from cossu import (
     triggers_at,
 )
 from cossu.rules import candidate_gains
+from cossu.sequence import match_ends
 
 from conftest import char_seq, random_seq
 
@@ -69,6 +70,21 @@ class TestTriggers:
     def test_out_of_range(self, worked):
         with pytest.raises(IndexError):
             triggers_at(rule(worked, "a", "b"), worked, 13)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(0, 2), max_size=30),
+    st.lists(st.integers(0, 2), max_size=3),
+)
+def test_triggers_at_matches_scan(ids, ant):
+    """triggers_at agrees with the match_ends scan at every boundary, and
+    an empty antecedent triggers at all of them."""
+    s = Sequence(Alphabet(["a", "b", "c"]), tuple(ids))
+    r = Rule(tuple(ant), (0,))
+    ends = set((match_ends(s.array, r.antecedent) + 1).tolist())
+    for i in range(len(s) + 1):
+        assert triggers_at(r, s, i) == (not ant or i in ends)
 
 
 class TestSupportConfidence:
@@ -173,6 +189,7 @@ class TestCandidates:
             for cp in closed
         )
         assert len(got) == expected
+        assert len(set(got)) == len(got)
 
 
 class TestGain:

@@ -248,7 +248,7 @@ class TestScreening:
                 return
             rule = parse_rule(e["rule"], seq.alphabet)
             tentative = incumbents[0].clone()
-            add_rule(tentative, rule, config.optimizer.initial_weight)
+            add_rule(tentative, rule, optimize.INITIAL_WEIGHT)
             index = len(tentative.rules) - 1
             optimize.coordinate_step(tentative, index, config.optimizer)
             weight = float(tentative.weights[index])
@@ -263,6 +263,7 @@ class TestScreening:
         cossu_mine(seq, config, observe)
         assert added == winners
         assert 1 <= len(winners) < checked
+
     @pytest.mark.slow
     def test_memory_bounded(self):
         # A block holds a bounded number of active positions, so mining
