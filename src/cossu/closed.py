@@ -13,9 +13,14 @@ left-extensible ones in O(1) per node. The suffix sort and the LCP array
 stop at depth `max_pattern_len`, so the intervals at the cap are the
 frequent cap-length windows, all closed. A pattern's prefix supports (the
 trigger counts of its candidate rules) are the widths of the runs of
-LCP >= k around its slot. A brute-force window counter, quadratic-ish but
-simple, is kept only as the oracle that tests compare the suffix walk
-against (`method="brute"`), prefix supports included.
+LCP >= k around its slot.
+
+`suffix_walk` returns the patterns as arrays (start, length and the
+prefix-support matrix), which mining prices directly; `mine_closed` is the
+list view of the same walk, one `ClosedPattern` per pattern. A brute-force
+window counter, quadratic-ish but simple, is kept only as the oracle that
+tests compare the suffix walk against (`method="brute"`), prefix supports
+included.
 """
 
 from __future__ import annotations
@@ -57,7 +62,12 @@ def mine_closed(
     if method == "brute":
         found = _mine_brute(s.ids, minsup, max_pattern_len)
     elif method == "suffix":
-        found = _mine_suffix(s.array, minsup, max_pattern_len)
+        starts, lengths, counts = suffix_walk(s.array, minsup, max_pattern_len)
+        ids = s.ids
+        found = {
+            ids[a : a + d]: tuple(counts[:d, j].tolist())
+            for j, (a, d) in enumerate(zip(starts.tolist(), lengths.tolist()))
+        }
     else:
         raise ValueError(f"unknown method: {method!r}")
     ordered = sorted(
@@ -73,7 +83,7 @@ def _mine_brute(
     ids: tuple[int, ...], minsup: int, max_len: int
 ) -> dict[tuple[int, ...], tuple[int, ...]]:
     """Closed patterns mapped to their prefix supports, by counting every
-    window of every in-cap length (the oracle for `_mine_suffix`)."""
+    window of every in-cap length (the oracle for `suffix_walk`)."""
     counts: dict[tuple[int, ...], int] = {}
     for length in range(1, min(max_len, len(ids)) + 1):
         for i in range(len(ids) - length + 1):
@@ -131,9 +141,16 @@ def _lcp_array(arr: np.ndarray, sa: np.ndarray, depth: int) -> np.ndarray:
     return lcp
 
 
-def _mine_suffix(
+def suffix_walk(
     arr: np.ndarray, minsup: int, max_len: int
-) -> dict[tuple[int, ...], tuple[int, ...]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The closed patterns of arr as arrays, in the walk's order.
+
+    Returns each pattern's start in arr, its length, and the prefix
+    supports: `counts[k-1, j]` is the support of the first k symbols of
+    pattern j's window, for every k up to the longest length; those up
+    to the pattern's own length are its prefix supports.
+    """
     n = arr.size
     depth = min(max_len, n)
     sa = _suffix_array(arr, depth)
@@ -168,13 +185,10 @@ def _mine_suffix(
     # The matches of a pattern's first k symbols are the run of lcp >= k
     # around its slot.
     at = np.array(slots, dtype=np.int64)
+    lengths = np.array(depths, dtype=np.int64)
     longest = max(depths, default=0)
     counts = np.empty((longest, at.size), dtype=np.int64)
     for k in range(1, longest + 1):
         run = np.cumsum(lcp < k)
         counts[k - 1] = np.bincount(run)[run[at]]
-    ids = tuple(arr.tolist())
-    found: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for j, (start, d) in enumerate(zip(sa[at].tolist(), depths)):
-        found[ids[start : start + d]] = tuple(counts[:d, j].tolist())
-    return found
+    return sa[at], lengths, counts

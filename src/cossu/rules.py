@@ -5,12 +5,20 @@ run. It triggers wherever the antecedent ends, applies where the consequent
 follows immediately, and while a prediction unfolds it is "active at stage
 j" whenever antecedent plus the first j consequent symbols form the current
 history suffix.
+
+The candidates of a mining run are the antecedent/consequent splits of the
+closed patterns. `split_gains` prices all of them at once from the
+patterns' arrays, and `candidate_gains` is its list view; the per-rule
+`compression_gain`, which counts the rule's matches, is kept as the
+reference that tests compare the two against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
+
+import numpy as np
 
 from .closed import ClosedPattern
 from .sequence import Alphabet, FrequencyTable, Sequence, match_ends
@@ -153,19 +161,14 @@ def generate_candidates(
     k = 0..L-1, singleton rules dropped. Closed patterns are distinct, so
     their splits are too.
     """
-    return [rule for _, _, rule in _splits(closed)]
-
-
-def _splits(
-    closed: Iterable[ClosedPattern],
-) -> Iterator[tuple[ClosedPattern, int, Rule]]:
-    """Each candidate rule, with its pattern and antecedent length."""
+    out: list[Rule] = []
     for cp in closed:
         ids = cp.pattern.array.tolist()
         for k in range(len(ids)):
             rule = Rule(tuple(ids[:k]), tuple(ids[k:]))
             if not rule.is_singleton:
-                yield cp, k, rule
+                out.append(rule)
+    return out
 
 
 def compression_gain(rule: Rule, s: Sequence, f: FrequencyTable) -> float:
@@ -174,7 +177,7 @@ def compression_gain(rule: Rule, s: Sequence, f: FrequencyTable) -> float:
     conf * supp * cl(consequent) - (cl(antecedent) + cl(consequent)),
     with cl summing the background code lengths of the symbols. May be
     negative. Symbols that never occur in s are rejected. This per-rule
-    count is the reference that tests compare `candidate_gains` against.
+    count is the reference that tests compare `split_gains` against.
     """
     for sid in rule.antecedent + rule.consequent:
         if f.counts[sid] == 0:
@@ -185,9 +188,57 @@ def compression_gain(rule: Rule, s: Sequence, f: FrequencyTable) -> float:
 
 
 def _gain(rule: Rule, supp: int, conf: float, f: FrequencyTable) -> float:
-    cl_a = sum(f.code_length(sid) for sid in rule.antecedent)
-    cl_c = sum(f.code_length(sid) for sid in rule.consequent)
+    cl_a = _bits(rule.antecedent, f)
+    cl_c = _bits(rule.consequent, f)
     return conf * supp * cl_c - (cl_a + cl_c)
+
+
+def _bits(ids: tuple[int, ...], f: FrequencyTable) -> float:
+    """Code lengths added left to right, the order `split_gains` adds
+    them in (`sum` compensates its rounding from Python 3.12 on)."""
+    bits = 0.0
+    for sid in ids:
+        bits += f.code_length(sid)
+    return bits
+
+
+def split_gains(
+    windows: np.ndarray,
+    lengths: np.ndarray,
+    counts: np.ndarray,
+    n: int,
+    f: FrequencyTable,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The gain of every candidate split of patterns given as arrays.
+
+    Pattern j is `windows[j, :lengths[j]]` (the rest of the row is
+    ignored), and `counts[k-1, j]` is the support of its first k symbols.
+    Returns (rows, ks, gains): split k of pattern `rows[i]` is the rule
+    P[:k] -> P[k:], with gain `gains[i]`, for every split but the
+    singletons, in pattern order and then by k. A split counts nothing:
+    its support is its pattern's, and its antecedent's trigger count is
+    a prefix support (n for the empty antecedent). Every float operation
+    is `_gain`'s, in `_gain`'s order, so each gain equals
+    `compression_gain` exactly.
+    """
+    width = windows.shape[1]
+    col = np.arange(width)
+    inside = col < lengths[:, None]
+    table = np.array([f.code_length(i) for i in range(len(f.counts))])
+    cl = np.where(inside, table[windows], 0.0)
+    cl_a = np.zeros(cl.shape)
+    np.cumsum(cl[:, :-1], axis=1, out=cl_a[:, 1:])
+    # Each consequent is summed from its own first symbol: cl(P) - cl_a
+    # rounds differently. The zero padding adds nothing.
+    cl_c = np.zeros(cl.shape)
+    for k in range(width):
+        live = lengths > k
+        cl_c[live, k] = np.cumsum(cl[live, k:], axis=1)[:, -1]
+    rows, ks = np.nonzero(inside & ((col > 0) | (lengths[:, None] > 1)))
+    supp = counts[lengths - 1, np.arange(lengths.size)][rows]
+    triggers = np.where(ks > 0, counts[ks - 1, rows], n)
+    a, c = cl_a[rows, ks], cl_c[rows, ks]
+    return rows, ks, (supp / triggers) * supp * c - (a + c)
 
 
 def candidate_gains(
@@ -195,12 +246,19 @@ def candidate_gains(
 ) -> list[tuple[Rule, float]]:
     """Gains for every candidate from the closed patterns, batch version.
 
-    Equal to compression_gain per rule, but counts nothing: a split's
-    support is its pattern's support, and its antecedent's trigger count
-    is the pattern's prefix support (n for an empty antecedent).
+    The list view of `split_gains`: the candidates of
+    `generate_candidates`, in its order, each with the gain that
+    `compression_gain` gives it.
     """
-    out: list[tuple[Rule, float]] = []
-    for cp, k, rule in _splits(closed):
-        triggers = cp.prefix_supports[k - 1] if k else len(s)
-        out.append((rule, _gain(rule, cp.support, cp.support / triggers, f)))
-    return out
+    closed = list(closed)
+    lengths = np.array([len(cp.pattern) for cp in closed], dtype=np.int64)
+    width = int(lengths.max(initial=0))
+    windows = np.zeros((len(closed), width), dtype=np.int64)
+    counts = np.zeros((width, len(closed)), dtype=np.int64)
+    for j, cp in enumerate(closed):
+        windows[j, : lengths[j]] = cp.pattern.array
+        counts[: lengths[j], j] = cp.prefix_supports
+    gains = split_gains(windows, lengths, counts, len(s), f)[2]
+    return list(
+        zip(generate_candidates(closed, s), gains.tolist(), strict=True)
+    )

@@ -1,9 +1,10 @@
 """Greedy MDL selection of sequential rules from one long sequence.
 
-The loop bootstraps with the singleton-only model and walks the candidates
-in order of decreasing compression gain. Each candidate is screened on its
-own weight: it is added at the initial weight and one line search tunes
-that weight alone. Candidates are screened in blocks against the same
+The candidates are the splits of the closed patterns with a positive
+compression gain, priced as arrays. The loop bootstraps with the
+singleton-only model and walks them in order of decreasing gain. Each
+candidate is screened on its own weight: it is added at the initial
+weight and one line search tunes that weight alone. Candidates are screened in blocks against the same
 incumbent, their line searches run in lockstep, and no tentative model is
 built for them. Only the first candidate of a block whose screened total
 beats the incumbent has every weight settled, and it is kept when the
@@ -22,7 +23,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .closed import mine_closed
+from .closed import suffix_walk
 from .encoding import (
     Model,
     SequenceScorer,
@@ -42,7 +43,7 @@ from .optimize import (
     quantize_weights,
     run_passes,
 )
-from .rules import Rule, candidate_gains, format_rule
+from .rules import Rule, format_rule, split_gains
 from .sequence import FrequencyTable, Sequence, frequencies
 
 TraceFn = Callable[[dict], None]
@@ -232,10 +233,27 @@ def cossu_mine(
     run = _Run(s, freq, cfg, trace)
 
     with run.stage("closed"):
-        closed = mine_closed(s, cfg.minsup, cfg.max_pattern_len)
+        starts, lengths, counts = suffix_walk(
+            s.array, cfg.minsup, cfg.max_pattern_len
+        )
     with run.stage("gains"):
-        scored = candidate_gains(closed, s, freq)
-        candidates = [(r, g) for r, g in scored if g > 0.0]
+        # Each pattern's symbols, padded past its end up to the longest.
+        width = int(lengths.max(initial=0))
+        at = np.minimum(starts[:, None] + np.arange(width), len(s) - 1)
+        windows = s.array[at]
+        rows, ks, gains = split_gains(windows, lengths, counts, len(s), freq)
+        # Only a split with a positive gain is screened, so only it
+        # becomes a Rule.
+        positive = np.flatnonzero(gains > 0.0)
+        candidates = [
+            (Rule(tuple(ids[:k]), tuple(ids[k:d])), g)
+            for ids, k, d, g in zip(
+                windows[rows[positive]].tolist(),
+                ks[positive].tolist(),
+                lengths[rows[positive]].tolist(),
+                gains[positive].tolist(),
+            )
+        ]
         candidates.sort(
             key=lambda rg: (
                 -rg[1],
@@ -246,8 +264,8 @@ def cossu_mine(
         )
     run.emit(
         event="start",
-        patterns=len(closed),
-        candidates=len(scored),
+        patterns=lengths.size,
+        candidates=rows.size,
         positive_gain=len(candidates),
     )
 

@@ -86,12 +86,13 @@ class TestValidation:
 
 
 class TestEnginesAgree:
-    def test_small_random(self):
+    @pytest.mark.parametrize("minsup", [2, 3, 5])
+    def test_small_random(self, minsup):
         rng = random.Random(1234)
         for _ in range(60):
             s = random_seq(rng, rng.randint(2, 120), rng.randint(2, 6))
-            brute = mine_closed(s, method="brute")
-            suffix = mine_closed(s, method="suffix")
+            brute = mine_closed(s, minsup, method="brute")
+            suffix = mine_closed(s, minsup, method="suffix")
             assert brute == suffix
 
     def test_against_independent_oracle(self):
@@ -124,17 +125,18 @@ class TestEnginesAgree:
             assert brute == mine_closed(s, method="suffix")
             assert any(cp.pattern.ids == tuple(pattern) for cp in brute)
 
-    def test_length_cap(self):
+    @pytest.mark.parametrize("minsup", [2, 3, 5])
+    def test_length_cap(self, minsup):
         rng = random.Random(5)
         for _ in range(20):
             s = random_seq(rng, 60, 2)
             for cap in (1, 2, 3, 5):
-                brute = mine_closed(s, max_pattern_len=cap, method="brute")
-                suffix = mine_closed(s, max_pattern_len=cap, method="suffix")
+                brute = mine_closed(s, minsup, cap, method="brute")
+                suffix = mine_closed(s, minsup, cap, method="suffix")
                 assert brute == suffix
                 assert all(len(cp.pattern) <= cap for cp in brute)
                 got = {cp.pattern.ids: cp.support for cp in brute}
-                assert got == oracle_closed(s, max_len=cap)
+                assert got == oracle_closed(s, minsup, cap)
 
     def test_run_heavy_input(self):
         s = char_seq("a" * 50 + "b" + "a" * 30)

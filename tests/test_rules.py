@@ -229,6 +229,17 @@ class TestGain:
                 for r, g in candidate_gains(closed, s, f):
                     assert g == compression_gain(r, s, f)
 
+    def test_batch_order_is_candidate_order(self):
+        rng = random.Random(23)
+        for _ in range(10):
+            s = random_seq(rng, 80, 3)
+            f = frequencies(s)
+            for cap in (1, 2, 3, 20):
+                closed = mine_closed(s, max_pattern_len=cap)
+                assert [r for r, _ in candidate_gains(closed, s, f)] == (
+                    generate_candidates(closed, s)
+                )
+
     def test_batch_matches_single_on_runs(self):
         s = char_seq("a" * 50 + "b" + "a" * 30)
         f = frequencies(s)

@@ -12,6 +12,7 @@ from cossu import (
     cossu_mine,
     format_rule,
     frequencies,
+    mine_closed,
     model_to_json,
     singleton_rules,
     synth_generate,
@@ -19,6 +20,7 @@ from cossu import (
 )
 from cossu import optimize, parse_rule, selector
 from cossu.encoding import SequenceScorer
+from cossu.rules import candidate_gains
 
 from conftest import char_seq, random_seq
 
@@ -113,6 +115,48 @@ class TestTrace:
         assert done["pruned"] == sum(e["event"] == "prune" for e in events)
         assert done["accepted"] - done["pruned"] == len(model.non_singletons())
         assert done["accepted"] >= 1
+
+
+@pytest.mark.parametrize("minsup", [2, 3])
+@pytest.mark.parametrize("cap", [1, 2, 3, 20])
+def test_array_pricing_matches_public_views(cap, minsup):
+    """The candidates cossu_mine screens are the positive-gain entries of
+    candidate_gains(mine_closed(...)), with the same gains, in mining
+    order, and its start event counts what the public views return."""
+    rng = random.Random(cap * 10 + minsup)
+    seqs = [
+        random_seq(rng, rng.randint(20, 300), rng.randint(2, 5))
+        for _ in range(4)
+    ]
+    seqs.append(char_seq("a" * 50 + "b" + "a" * 30))
+    config = MiningConfig(minsup=minsup, max_pattern_len=cap)
+    screened = 0
+    for s in seqs:
+        events = []
+        cossu_mine(s, config, events.append)
+        closed = mine_closed(s, minsup, cap)
+        scored = candidate_gains(closed, s, frequencies(s))
+        expect = sorted(
+            ((r, g) for r, g in scored if g > 0.0),
+            key=lambda rg: (
+                -rg[1],
+                len(rg[0].antecedent) + len(rg[0].consequent),
+                rg[0].antecedent,
+                rg[0].consequent,
+            ),
+        )
+        got = [
+            (parse_rule(e["rule"], s.alphabet), e["gain"])
+            for e in events
+            if e["event"] == "candidate"
+        ]
+        assert got == expect
+        start = events[0]
+        assert start["patterns"] == len(closed)
+        assert start["candidates"] == len(scored)
+        assert start["positive_gain"] == len(expect)
+        screened += len(got)
+    assert screened > 0 or cap == 1
 
 
 class TestDeterminism:
