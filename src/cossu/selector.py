@@ -4,13 +4,13 @@ The candidates are the splits of the closed patterns with a positive
 compression gain, priced as arrays. The loop bootstraps with the
 singleton-only model and walks them in order of decreasing gain. Each
 candidate is screened on its own weight: it is added at the initial
-weight and one line search tunes that weight alone. Candidates are screened in blocks against the same
-incumbent, their line searches run in lockstep, and no tentative model is
-built for them. Only the first candidate of a block whose screened total
-beats the incumbent has every weight settled, and it is kept when the
-settled total still strictly drops; the next block starts after it. After
-every acceptance the proper rules are swept to remove any whose absence
-now encodes at least as well.
+weight and one line search tunes that weight alone. Candidates are
+screened in blocks against the same incumbent, their line searches run in
+lockstep, and no tentative model is built for them. Only the first
+candidate of a block whose screened total beats the incumbent has every
+weight settled, and it is kept when the settled total still strictly
+drops; the next block starts after it. After every acceptance the proper
+rules are swept to remove any whose absence now encodes at least as well.
 """
 
 from __future__ import annotations
