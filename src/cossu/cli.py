@@ -385,9 +385,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
     for path in instances:
         s = model_io.read_sequence(path, args.char_mode, clf.alphabet)
         label = classify(clf, s)
-        truth = next(
-            (c for c in clf.labels if path.name.startswith(f"{c}_")), ""
-        )
+        labels = [c for c in clf.labels if path.name.startswith(f"{c}_")]
+        truth = max(labels, key=len, default="")  # a_b_1.txt is an a_b
         if truth:
             scored += 1
             correct += int(truth == label)

@@ -242,6 +242,8 @@ class SequenceScorer:
         self._p = (sym == np.arange(self.k)[:, None]).astype(np.uint8)
         self._q = np.ones((self.k, sym.size), np.uint8)
         self.objective_evals = 0
+        self._after: dict[tuple[int, ...], np.ndarray] = {}
+        self._hist: dict[tuple[int, ...], np.ndarray] = {}
         for rule, w in zip(model.rules[self.k :], model.weights[self.k :]):
             self._append(rule, float(w))
         self._recompute()
@@ -253,10 +255,8 @@ class SequenceScorer:
         so that it has one (p, q) throughout each class."""
         pos, p, q = _rule_activity(self.s_arr, rule)
         base = len(rule.consequent) + 1  # p <= q < base
-        groups, inverse = np.unique(
-            self._split_key(pos, p, q, base), return_inverse=True
-        )
-        inverse = inverse.reshape(-1)
+        key = (self._cls[pos] * base + q) * base + p
+        groups, inverse = np.unique(key, return_inverse=True)
         size = np.bincount(inverse, minlength=groups.size).astype(np.float64)
         parent = groups // (base * base)
         g = self._sym.size
@@ -280,6 +280,7 @@ class SequenceScorer:
         cls = self._cls.copy()
         cls[pos] = ids[inverse]
         self._cls = cls
+        self._hist = {}
 
         p_new = np.zeros(self._sym.size, p.dtype)
         q_new = np.zeros(self._sym.size, q.dtype)
@@ -291,15 +292,6 @@ class SequenceScorer:
         self.weights = np.append(self.weights, weight)
         self.num += weight * p_new
         self.den += weight * q_new
-
-    def _split_key(
-        self, pos: np.ndarray, p: np.ndarray, q: np.ndarray, base: int
-    ) -> np.ndarray:
-        """One integer per active position: its class, q and p, with
-        p <= q < base. Equal keys land in one class once the rule is in."""
-        key = (self._cls[pos] * base + q.astype(np.int64)) * base
-        key += p.astype(np.int64)
-        return key
 
     def _recompute(self) -> None:
         self._total = float(
@@ -346,35 +338,54 @@ class SequenceScorer:
 
         return objective, w0
 
-    def lane_objective(
-        self,
-        activities: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
-        initial: float,
-    ):
+    def _histogram(self, prefix: tuple[int, ...]) -> np.ndarray:
+        """Class counts where a stage with this prefix is active."""
+        if prefix not in self._hist:
+            if prefix and prefix not in self._after:
+                after = match_ends(self.s_arr, prefix) + 1
+                self._after[prefix] = after[after < self.s_arr.size]
+            self._hist[prefix] = self._count if not prefix else np.bincount(
+                self._cls[self._after[prefix]], minlength=self._sym.size
+            )
+        return self._hist[prefix]
+
+    def lane_objective(self, rules: list[Rule], initial: float):
         """Data bits of one tentative state per lane, as a function of an
         array of one weight per lane.
 
-        Lane i's state is this one plus the rule whose `_rule_activity` is
-        activities[i], added at weight `initial`. Each lane's positions are
-        grouped by (class, q, p), which are the classes adding its rule
-        would make, so an objective call costs one pass over the groups of
-        all lanes and copies nothing of size n.
+        Lane i's state is this one plus rules[i] at weight `initial`. Its
+        positions are grouped by (class, q, p), the classes adding the rule
+        would make. Two stages are active together only where one prefix is
+        a suffix of the other, so each nests in the longest such shorter
+        one. Where a stage is innermost (its histogram less its children's)
+        q is its depth and p counts its chain's stages that predict there.
         """
-        m = len(activities)
-        base = 1 + int(max(q.max(initial=0) for _, _, q in activities))
-        span = self._sym.size * base * base
-        key = np.empty(sum(pos.size for pos, _, _ in activities), np.int64)
-        at = 0
-        for i, (pos, p, q) in enumerate(activities):
-            key[at : at + pos.size] = self._split_key(pos, p, q, base)
-            key[at : at + pos.size] += i * span
-            at += pos.size
-        groups, size = np.unique(key, return_counts=True)
-        del key
+        m, g = len(rules), self._sym.size
+        base = 1 + max(len(rule.consequent) for rule in rules)
+        span = g * base * base
+        keys, sizes = [], []
+        for i, rule in enumerate(rules):
+            a, c = rule.antecedent, rule.consequent
+            prefixes = [a + c[:j] for j in range(len(c))]
+            # Per stage and class: the innermost counts, and q * base + p
+            # on the stage's chain. The last row stands for no stage.
+            inner = np.zeros((len(c) + 1, g))
+            inner[:-1] = [self._histogram(prefix) for prefix in prefixes]
+            qp = np.zeros((len(c) + 1, g), np.int64)
+            for j, prefix in enumerate(prefixes):
+                up = j - 1
+                while up >= 0 and prefix[j - up :] != prefixes[up]:
+                    up -= 1
+                qp[j] = qp[up] + base + (self._sym == c[j])
+                inner[up] -= inner[j]  # row j is whole: its children follow
+            stage, on = np.nonzero(inner[:-1])
+            keys.append(i * span + on * base * base + qp[stage, on])
+            sizes.append(inner[stage, on])
+        groups, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+        count = np.bincount(inverse, weights=np.concatenate(sizes))
         lane, cls = groups // span, groups % span // (base * base)
         p = (groups % base).astype(np.float64)
         q = (groups // base % base).astype(np.float64)
-        count = size.astype(np.float64)
         base_num, base_den = self.num[cls], self.den[cls]
         rest = self._total - np.bincount(
             lane,
@@ -460,9 +471,7 @@ def _rule_activity(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Where a rule is active in ids: sorted positions, with the number of
     stages active there (q) and of those predicting the symbol that occurs
-    (p), both in the smallest unsigned dtype that holds the stage count, so
-    that a block of screened activities stays small.
-    """
+    (p), both in the smallest unsigned dtype that holds the stage count."""
     counts = np.min_scalar_type(len(rule.consequent))
     hits = [(t, ids[t] == sym) for t, sym in _stage_activity(ids, rule)]
     if len(hits) == 1:
@@ -471,7 +480,6 @@ def _rule_activity(
     t = np.concatenate([h[0] for h in hits])
     good = np.concatenate([h[1] for h in hits])
     pos, inverse = np.unique(t, return_inverse=True)
-    inverse = inverse.reshape(-1)
     q = np.bincount(inverse, minlength=pos.size).astype(counts)
     p = np.bincount(inverse, weights=good, minlength=pos.size).astype(counts)
     return pos, p, q

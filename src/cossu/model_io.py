@@ -80,16 +80,20 @@ _RULE_FIELDS = ("antecedent", "consequent", "weight")
 
 def _tokens(value: object, what: str) -> list[str]:
     if not isinstance(value, list) or not all(isinstance(t, str) for t in value):
-        raise ValueError(f"malformed model: {what} is not a list of tokens")
+        raise ValueError(f"{what} is not a list of tokens")
     return value
 
 
 def _number(kind: type, value: object, what: str):
     try:
-        return kind(value)
+        number = kind(value)
+        # true as a number, or 7.9 as an int, is malformed, not converted.
+        if isinstance(value, bool) or (type(value) is float and number != value):
+            raise ValueError
+        return number
     except (TypeError, ValueError, OverflowError):
         raise ValueError(
-            f"malformed model: {what} is not a number: {value!r}"
+            f"malformed model: {what} is not {kind.__name__}: {value!r}"
         ) from None
 
 
@@ -102,7 +106,7 @@ def model_from_dict(obj: dict) -> Model:
         raw_rules = obj["rules"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed model: missing field {exc}") from None
-    alphabet = Alphabet(_tokens(tokens, "alphabet"))
+    alphabet = Alphabet(_tokens(tokens, "malformed model: alphabet"))
     if list(alphabet.tokens) != list(tokens):
         raise ValueError("malformed model: alphabet not in canonical order")
     if not isinstance(counts_by_token, dict):
@@ -128,8 +132,8 @@ def model_from_dict(obj: dict) -> Model:
             raise ValueError(
                 f"malformed model: rule entry lacks {', '.join(missing)}"
             )
-        ant = _tokens(entry["antecedent"], "rule antecedent")
-        cons = _tokens(entry["consequent"], "rule consequent")
+        ant = _tokens(entry["antecedent"], "malformed model: rule antecedent")
+        cons = _tokens(entry["consequent"], "malformed model: rule consequent")
         rules.append(Rule.from_tokens(alphabet, ant, cons))
         weights.append(_number(float, entry["weight"], "rule weight"))
     precision = _number(int, precision, "precision")
@@ -174,9 +178,15 @@ def load_targets(path: str | Path, alphabet: Alphabet) -> tuple[Rule, ...]:
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: malformed JSON: {exc}") from None
     try:
+        if not isinstance(payload, list):
+            raise TypeError("not a list of rules")
         return tuple(
-            Rule.from_tokens(alphabet, e["antecedent"], e["consequent"])
+            Rule.from_tokens(
+                alphabet,
+                _tokens(e["antecedent"], "antecedent"),
+                _tokens(e["consequent"], "consequent"),
+            )
             for e in payload
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed targets: {exc}") from None

@@ -3,19 +3,19 @@
 The candidates are the splits of the closed patterns with a positive
 compression gain, priced as arrays. The loop bootstraps with the
 singleton-only model and walks them in order of decreasing gain. Each
-candidate is screened on its own weight: it is added at the initial
-weight and one line search tunes that weight alone. Candidates are
-screened in blocks against the same incumbent, their line searches run in
-lockstep, and no tentative model is built for them. Only the first
-candidate of a block whose screened total beats the incumbent has every
-weight settled, and it is kept when the settled total still strictly
-drops; the next block starts after it. After every acceptance the proper
-rules are swept to remove any whose absence now encodes at least as well.
+candidate is screened on its own weight: it is added at the initial weight
+and one line search tunes that weight alone. Candidates are screened in
+blocks against the same incumbent, from class counts of their stage
+prefixes, which they share; their line searches run in lockstep, and no
+tentative model is built for them. Only the first candidate of a block
+whose screened total beats the incumbent has every weight settled, and it
+is kept when the settled total still strictly drops; the next block starts
+after it. After every acceptance the proper rules are swept to remove any
+whose absence now encodes at least as well.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -28,7 +28,6 @@ from .encoding import (
     Model,
     SequenceScorer,
     _check_precision,
-    _rule_activity,
     quantize_weight,
     rule_content_code_length,
     universal_int_code_length,
@@ -56,16 +55,12 @@ COUNTS = (
     "screened", "accepted", "pruned", "line_searches", "objective_evals"
 )
 
-#: Active positions screened in one block. A block takes candidates while
-#: their activities fit in `limit` positions, and at least one candidate.
-#: `limit` starts at FIRST_BLOCK, doubles after each block with no winner,
-#: up to BLOCK_POSITIONS, and starts again after each winner. Early in a
-#: run winners are dense and a small block wastes few lanes; later almost
-#: every candidate is rejected and a large block shares each vectorised
-#: objective call among many lanes. The cap bounds a block's memory
-#: whatever the sequence length.
-FIRST_BLOCK = 1 << 12
-BLOCK_POSITIONS = 1 << 15
+#: Candidates in the first block and in the first after a winner. A block
+#: with no winner doubles the next, up to MAX_BLOCK, so late in a run one
+#: objective call serves many lanes; the cap bounds a block's groups (up
+#: to one per active position of each lane).
+FIRST_BLOCK = 8
+MAX_BLOCK = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -183,20 +178,19 @@ class _Run:
         return self.table_bits(scorer) + scorer.data_bits
 
     def screen(
-        self, scorer: SequenceScorer, block: list[tuple[Rule, float, tuple]]
+        self, scorer: SequenceScorer, block: list[tuple[Rule, float]]
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Screen a block of (rule, gain, activity) against the scorer:
-        each rule's weight after one line search on it alone, starting
-        from the initial weight, and the total of the scorer plus the rule
-        at that weight. The scorer is left as it is."""
+        """Screen a block of (rule, gain) against the scorer: each rule's
+        weight after one line search on it alone, starting from the
+        initial weight, and the total of the scorer plus the rule at that
+        weight. The scorer is left as it is."""
         evals = scorer.objective_evals
-        activities = [a for _, _, a in block]
-        objective = scorer.lane_objective(activities, INITIAL_WEIGHT)
+        rules = [rule for rule, _ in block]
+        objective = scorer.lane_objective(rules, INITIAL_WEIGHT)
         weights, data = lane_steps(
             objective, np.full(len(block), INITIAL_WEIGHT), self.optimizer
         )
         self.counts["objective_evals"] += scorer.objective_evals - evals
-        rules = [rule for rule, _, _ in block]
         return weights, self.table_bits.lanes(scorer, rules, weights) + data
 
     def settle(self, scorer: SequenceScorer) -> float:
@@ -289,35 +283,22 @@ def cossu_mine(
         )
         return accepted
 
-    ids = scorer.s_arr
-    fresh = ((r, g, _rule_activity(ids, r)) for r, g in candidates)
-    carried: deque[tuple[Rule, float, tuple]] = deque()
-    limit = FIRST_BLOCK
-    while True:
+    i, limit = 0, FIRST_BLOCK
+    while i < len(candidates):
+        block = candidates[i : i + limit]
         with run.stage("screen"):
-            block, size = [], 0
-            while item := (carried.popleft() if carried else next(fresh, None)):
-                positions = item[2][0].size
-                if block and size + positions > limit:
-                    carried.appendleft(item)
-                    break
-                block.append(item)
-                size += positions
-            if not block:
-                break
             weights, totals = run.screen(scorer, block)
             wins = np.flatnonzero(totals < incumbent)
         end = wins[0] if wins.size else len(block)
-        for (rule, gain, _), w, total in zip(block, weights, totals[:end]):
+        for (rule, gain), w, total in zip(block, weights, totals[:end]):
             decided(rule, gain, float(w), float(total))
         if not wins.size:
-            limit = min(2 * limit, BLOCK_POSITIONS)
+            i, limit = i + end, min(2 * limit, MAX_BLOCK)
             continue
         # The candidates after the winner are screened again, against
         # whatever incumbent the winner leaves, in a block that starts small.
-        carried.extendleft(reversed(block[end + 1 :]))
-        limit = FIRST_BLOCK
-        rule, gain, _ = block[end]
+        i, limit = i + end + 1, FIRST_BLOCK
+        rule, gain = block[end]
         weight = float(weights[end])
         with run.stage("screen"):
             # Screening tuned only the new weight; settle the rest before

@@ -193,6 +193,10 @@ class TestMineScore:
             (("rules", 0, "weight"), None),
             (("rules", 0, "antecedent"), 3),
             (("frequencies", "A"), None),
+            (("n",), 7.9),
+            (("precision",), 4.7),
+            (("precision",), True),
+            (("frequencies", "A"), 3.5),
         ],
         ids=[
             "frequencies-list",
@@ -202,6 +206,10 @@ class TestMineScore:
             "weight-null",
             "antecedent-int",
             "count-null",
+            "n-fraction",
+            "precision-fraction",
+            "precision-bool",
+            "count-fraction",
         ],
     )
     def test_malformed_field_type(self, capsys, tmp_path, path, value):
@@ -482,6 +490,30 @@ class TestClassifyCommand:
         lines = out.splitlines()
         assert lines[0] == "instance,label,truth"
         assert "# accuracy=1.0000" in out
+
+    def test_truth_is_longest_label(self, capsys, tmp_path):
+        # a_b_probe.txt starts with both "a_" and "a_b_"; its truth is a_b.
+        test_dir = tmp_path / "test"
+        test_dir.mkdir()
+        for label, rules, seed in (("a", "A->B", 1), ("a_b", "C->D", 2)):
+            for path, n, s in (
+                (tmp_path / f"{label}.txt", 1500, seed),
+                (test_dir / f"{label}_probe.txt", 300, seed + 30),
+            ):
+                argv = ["--n", str(n), "--rules", rules, "--ip", "0.7"]
+                argv += ["--seed", str(s), "--out", str(path)]
+                assert run(capsys, "synth", *argv)[0] == 0
+        code, out, _ = run(
+            capsys,
+            "classify",
+            "--train",
+            f"a={tmp_path / 'a.txt'},a_b={tmp_path / 'a_b.txt'}",
+            "--test",
+            str(test_dir),
+        )
+        assert code == 0
+        assert "a_b_probe.txt,a_b,a_b" in out.splitlines()
+        assert "# accuracy=1.0000 over=2" in out
 
     def test_single_class_rejected(self, capsys, tmp_path):
         p = tmp_path / "a.txt"

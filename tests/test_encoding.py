@@ -22,7 +22,12 @@ from cossu import (
     universal_int_code_length,
     weight_code_length,
 )
-from cossu.encoding import SequenceScorer, log2_star, quantize_weight
+from cossu.encoding import (
+    SequenceScorer,
+    _rule_activity,
+    log2_star,
+    quantize_weight,
+)
 
 from conftest import char_seq, random_seq
 
@@ -397,6 +402,91 @@ def test_scorer_steps_match_rebuild(ids, data):
         assert objective(w) == pytest.approx(
             data_code_length(moved, s), abs=1e-9
         )
+
+
+def _position_lanes(scorer: SequenceScorer, rules: list[Rule], initial: float):
+    """The oracle for `SequenceScorer.lane_objective`: each rule's active
+    positions from `_rule_activity`, keyed by (lane, class, q, p) and
+    grouped with np.unique, under the same objective formula."""
+    activities = [_rule_activity(scorer.s_arr, rule) for rule in rules]
+    base = 1 + int(max(q.max(initial=0) for _, _, q in activities))
+    span = scorer._sym.size * base * base
+    key = np.concatenate(
+        [
+            i * span
+            + (scorer._cls[pos] * base + q.astype(np.int64)) * base
+            + p.astype(np.int64)
+            for i, (pos, p, q) in enumerate(activities)
+        ]
+    )
+    groups, size = np.unique(key, return_counts=True)
+    lane, cls = groups // span, groups % span // (base * base)
+    p = (groups % base).astype(np.float64)
+    q = (groups // base % base).astype(np.float64)
+    count = size.astype(np.float64)
+    num, den = scorer.num[cls], scorer.den[cls]
+    rest = scorer.data_bits - np.bincount(
+        lane, weights=count * (np.log2(den) - np.log2(num)), minlength=len(rules)
+    )
+    num, den = num + initial * p, den + initial * q
+
+    def objective(w: np.ndarray) -> np.ndarray:
+        d = (w - initial)[lane]
+        return rest + np.bincount(
+            lane,
+            weights=count * (np.log2(den + d * q) - np.log2(num + d * p)),
+            minlength=len(rules),
+        )
+
+    return objective
+
+
+#: Rules whose stages nest: a stage prefix that is a suffix of a later
+#: one (A -> A A, B B -> B), an empty antecedent (∅ -> C C), a chain three
+#: deep (A -> A A A), and a stage whose parent is not the stage before it
+#: (in A B A -> B A B, stage A B A B A nests in A B A, not in A B A B).
+_NESTED = [
+    Rule((0,), (0, 0)),
+    Rule((), (2, 2)),
+    Rule((1, 1), (1,)),
+    Rule((0,), (0, 0, 0)),
+    Rule((0, 1, 0), (1, 0, 1)),
+]
+_RULES = st.builds(
+    Rule,
+    st.lists(st.integers(0, 2), max_size=3).map(tuple),
+    st.lists(st.integers(0, 2), min_size=1, max_size=4).map(tuple),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, 2), min_size=1, max_size=60), st.data())
+def test_lane_groups_match_positions(ids, data):
+    """Lanes priced from stage-prefix histograms equal, bit for bit, lanes
+    priced from each rule's active positions, also after rules are added
+    to the scorer or to a clone of it (which splits the classes)."""
+    s = Sequence(Alphabet(["a", "b", "c"]), tuple(ids))
+    scorers = [SequenceScorer(Model.empty(frequencies(s)), s)]
+    for _ in range(data.draw(st.integers(1, 3))):
+        rules = _NESTED + data.draw(st.lists(_RULES, max_size=4))
+        initial = data.draw(_WEIGHTS)
+        per_lane = data.draw(
+            st.lists(
+                st.floats(1e-6, 1e3), min_size=len(rules), max_size=len(rules)
+            )
+        )
+        for scorer in scorers:
+            got = scorer.lane_objective(rules, initial)
+            want = _position_lanes(scorer, rules, initial)
+            for w in (initial, 1e-6, 0.37, 1e3, per_lane):
+                w = np.broadcast_to(np.asarray(w, dtype=np.float64), len(rules))
+                assert np.array_equal(got(w), want(w))
+        rule = data.draw(_RULES)
+        if rule.is_singleton or rule in scorers[-1].rules:
+            continue
+        if data.draw(st.booleans()):
+            scorers.append(scorers[-1].clone())
+        scorers[-1].add_rule(rule, data.draw(_WEIGHTS))
 
 
 @settings(max_examples=60, deadline=None)

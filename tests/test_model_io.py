@@ -10,11 +10,13 @@ from cossu import (
     Sequence,
     frequencies,
     load_model,
+    load_targets,
     model_from_dict,
     model_to_dict,
     model_to_json,
     read_sequence,
     save_model,
+    save_targets,
     write_sequence,
 )
 from cossu.model_io import parse_sequence
@@ -125,3 +127,39 @@ class TestSequenceParsing:
         # Without a given alphabet, the tokens that occur form it.
         inferred = read_sequence(path)
         assert inferred.tokens == s.tokens
+
+
+class TestTargetsJson:
+    def test_round_trip(self, worked, tmp_path):
+        rules = (
+            Rule.from_tokens(worked.alphabet, ["a", "b"], ["c"]),
+            Rule.from_tokens(worked.alphabet, [], ["e", "a"]),
+        )
+        path = tmp_path / "targets.json"
+        save_targets(rules, worked.alphabet, path)
+        assert load_targets(path, worked.alphabet) == rules
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [{"antecedent": "ab", "consequent": ["c"]}],
+            [{"antecedent": ["a"], "consequent": "c"}],
+            {"antecedent": ["a"], "consequent": ["c"]},
+            {},
+            [{"consequent": ["c"]}],
+            [["a", "c"]],
+        ],
+        ids=[
+            "string-antecedent",
+            "string-consequent",
+            "object-payload",
+            "empty-object-payload",
+            "missing-antecedent",
+            "list-entry",
+        ],
+    )
+    def test_malformed_rejected(self, worked, tmp_path, payload):
+        path = tmp_path / "targets.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="malformed targets"):
+            load_targets(path, worked.alphabet)

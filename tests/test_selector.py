@@ -1,9 +1,11 @@
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from cossu import (
+    Alphabet,
     MiningConfig,
     Model,
     OptimizerConfig,
@@ -206,8 +208,8 @@ class TestScreening:
 
             return f, w0
 
-        def counted_lanes(self, activities, initial):
-            objective = lane_objective(self, activities, initial)
+        def counted_lanes(self, rules, initial):
+            objective = lane_objective(self, rules, initial)
 
             def f(w):
                 nonlocal evals
@@ -310,8 +312,9 @@ class TestScreening:
 
     @pytest.mark.slow
     def test_memory_bounded(self):
-        # A block holds a bounded number of active positions, so mining
-        # memory must not grow with block size times sequence length.
+        # Screening lists no candidate's positions, only one array per
+        # distinct stage prefix, and a block holds at most MAX_BLOCK
+        # candidates, so memory must not grow with candidates times length.
         seq, _ = synth_generate(SyntheticSpec(seed=301, length=50_000))
         tracemalloc.start()
         try:
@@ -330,3 +333,90 @@ class TestScreening:
         assert {r for r in m1.non_singletons()} == {
             r for r in m2.non_singletons()
         }
+
+
+def _planted(length: int, train: int, **spec) -> Sequence:
+    """The first `train` symbols of a planted sequence of `length`."""
+    seq, _ = synth_generate(SyntheticSpec(length=length, **spec))
+    return seq.segment(1, train)
+
+
+def _noisy_period_7() -> Sequence:
+    """i % 7 for i < 3 000, with about 5% of the positions redrawn."""
+    rng = np.random.default_rng(7)
+    ids = np.arange(3000) % 7
+    noise = rng.random(3000) < 0.05
+    ids[noise] = rng.integers(0, 7, noise.sum())
+    return Sequence(Alphabet(str(i) for i in range(7)), ids)
+
+
+#: Mined rule sets and total bits of fixed inputs, so that a change to
+#: mining that should leave models alone is caught. The planted inputs are
+#: the training parts of the benchmark's first planted-k5 and planted-k20
+#: sequences at seed 301, and its k5 class-y training sequence. A change
+#: that alters models on purpose updates these values and accounts for
+#: every change.
+PINNED = {
+    "planted-k5": (
+        lambda: _planted(5000, 4000, seed=301_000),
+        {"A -> B"},
+        9039.680302640088,
+    ),
+    "planted-k20": (
+        lambda: _planted(
+            12_500,
+            10_000,
+            alphabet=K20,
+            rules=K20_RULES,
+            insertion_probability=0.6,
+            seed=301_000,
+        ),
+        {
+            "A -> B",
+            "C D -> E",
+            "F -> G H",
+            "F G -> H",
+            "I F G -> H",
+            "I J -> K L",
+            "M -> N",
+        },
+        40495.443650406276,
+    ),
+    "overlapping-stages": (
+        lambda: _planted(
+            3000,
+            3000,
+            alphabet=("A", "B", "C"),
+            rules=((("A",), ("A", "A")), (("B", "B"), ("B",))),
+            insertion_probability=0.6,
+            seed=11,
+        ),
+        {"A -> A", "B A A -> A", "B B -> B", "C A -> A A", "∅ -> A A"},
+        4145.873221096535,
+    ),
+    "period-7": (
+        _noisy_period_7,
+        {
+            "1 -> 2 3 4 5 6 0 1 2 3 4 5 6",
+            "3 -> 4 5 6 0 1 2 3 4 5 6 0 1 2",
+            "4 -> 5 6 0 1 2 3 4 5 6 0 1 2",
+            "6 -> 0 1 2 3 4 5 6 0 1 2",
+        },
+        2090.3228405843065,
+    ),
+    "k5-class-y": (
+        lambda: _planted(2000, 2000, rules=((("C",), ("D",)),), seed=2**31 + 1),
+        {"C -> D"},
+        4634.042191011744,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_models(name):
+    make, rules, bits = PINNED[name]
+    seq = make()
+    model = cossu_mine(seq)
+    mined = {format_rule(r, model.alphabet) for r in model.non_singletons()}
+    assert mined == rules
+    assert total_dl(model, seq).total == pytest.approx(bits, rel=1e-9)
