@@ -194,7 +194,8 @@ def _add_spec_args(sp: argparse.ArgumentParser) -> None:
 
 
 def _parse_spec(args: argparse.Namespace) -> SyntheticSpec:
-    alphabet = tuple(t for t in args.alphabet.split(",") if t)
+    entries = (t.strip() for t in args.alphabet.split(","))
+    alphabet = tuple(t for t in entries if t)
     if not alphabet:
         raise ValueError("empty alphabet")
     if args.dist == "uniform":
@@ -228,7 +229,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if args.out:
         model_io.write_sequence(s, args.out)
     else:
-        print(" ".join(s.tokens))
+        sys.stdout.write(model_io.format_sequence(s))
     if args.targets:
         model_io.save_targets(targets, s.alphabet, args.targets)
     return 0

@@ -63,9 +63,11 @@ def synth_generate(spec: SyntheticSpec) -> tuple[Sequence, tuple[Rule, ...]]:
     """Generate a sequence per the spec; deterministic for a fixed seed.
 
     Rules are applied in listed order against the base draw only, so an
-    inserted consequent never spawns further antecedent matches. Returns
-    the sequence together with the planted rules interned over its
-    alphabet.
+    inserted consequent never spawns further antecedent matches. After the
+    base draw, the generator takes one uniform draw per antecedent match:
+    rules in listed order, each rule's matches in position order (an empty
+    antecedent matches after every position). Returns the sequence
+    together with the planted rules interned over its alphabet.
     """
     alphabet = Alphabet(spec.alphabet)
     k = len(alphabet)
@@ -81,25 +83,24 @@ def synth_generate(spec: SyntheticSpec) -> tuple[Sequence, tuple[Rule, ...]]:
     )
 
     rng = np.random.default_rng(spec.seed)
-    base = rng.choice(k, size=spec.length, p=probs).astype(np.int64)
+    base = rng.choice(k, size=spec.length, p=probs).astype(alphabet.id_dtype)
 
-    ip = spec.insertion_probability
     # Insertion points after base positions, in rule order: a stable
     # insert keeps that order where several rules insert at one point.
-    at: list[int] = []
-    inserted: list[int] = []
+    at: list[np.ndarray] = []
+    inserted: list[np.ndarray] = []
     for rule in targets:
         ant = rule.antecedent
         if ant:
             ends = match_ends(base, ant)
         else:
             ends = np.arange(spec.length)
-        for e in ends:
-            if rng.random() < ip:
-                at += [int(e) + 1] * len(rule.consequent)
-                inserted += rule.consequent
-    out = np.insert(base, at, inserted)[: spec.length]
-    return Sequence(alphabet, out), targets
+        hits = ends[rng.random(ends.size) < spec.insertion_probability]
+        at.append(np.repeat(hits + 1, len(rule.consequent)))
+        inserted.append(np.tile(rule.consequent, hits.size))
+    if at:
+        base = np.insert(base, np.concatenate(at), np.concatenate(inserted))
+    return Sequence._trusted(alphabet, base[: spec.length]), targets
 
 
 def hit_rate(

@@ -44,8 +44,20 @@ def read_sequence(
         raise ValueError(f"{path}: {exc}") from None
 
 
+def format_sequence(s: Sequence) -> str:
+    """The sequence as one line of space-separated tokens.
+
+    Raises ValueError for an alphabet token that is empty or holds
+    whitespace, as the text would not read back as the same tokens.
+    """
+    for token in s.alphabet.tokens:
+        if token.split() != [token]:
+            raise ValueError(f"token cannot be written as text: {token!r}")
+    return " ".join(s.tokens) + "\n"
+
+
 def write_sequence(s: Sequence, path: str | Path) -> None:
-    Path(path).write_text(" ".join(s.tokens) + "\n", encoding="utf-8")
+    Path(path).write_text(format_sequence(s), encoding="utf-8")
 
 
 def model_to_dict(m: Model) -> dict:
@@ -86,9 +98,12 @@ def _tokens(value: object, what: str) -> list[str]:
 
 def _number(kind: type, value: object, what: str):
     try:
+        # true as a number, or "7" or 7.9 as an int, is malformed, not
+        # converted. Weights are floats written as decimal strings.
+        if isinstance(value, bool) or (kind is int and isinstance(value, str)):
+            raise ValueError
         number = kind(value)
-        # true as a number, or 7.9 as an int, is malformed, not converted.
-        if isinstance(value, bool) or (type(value) is float and number != value):
+        if type(value) is float and number != value:
             raise ValueError
         return number
     except (TypeError, ValueError, OverflowError):

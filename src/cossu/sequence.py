@@ -31,7 +31,7 @@ class Alphabet:
     alphabets built from the same token set intern identically.
     """
 
-    __slots__ = ("_tokens", "_index", "id_dtype")
+    __slots__ = ("_tokens", "_index", "_token_array", "id_dtype")
 
     def __init__(self, tokens: Iterable[str]):
         toks = sorted(tokens)
@@ -42,6 +42,8 @@ class Alphabet:
                 raise ValueError(f"duplicate token: {a!r}")
         self._tokens: tuple[str, ...] = tuple(toks)
         self._index: dict[str, int] = {t: i for i, t in enumerate(self._tokens)}
+        #: The tokens as an object array, so ids gather their tokens at once.
+        self._token_array = np.array(self._tokens, dtype=object)
         #: Smallest unsigned dtype that holds every id (uint8 up to 256 tokens).
         self.id_dtype = np.min_scalar_type(len(toks) - 1)
 
@@ -121,7 +123,7 @@ class Sequence:
 
     @property
     def tokens(self) -> tuple[str, ...]:
-        return tuple(map(self.alphabet.tokens.__getitem__, self.array.tolist()))
+        return tuple(self.alphabet._token_array[self.array].tolist())
 
     def __len__(self) -> int:
         return self.array.size
@@ -158,10 +160,24 @@ class Sequence:
         return Sequence._trusted(self.alphabet, self.array[i - 1 : j])
 
     def reindexed(self, alphabet: Alphabet) -> "Sequence":
-        """The same token run interned against another alphabet."""
+        """The same token run interned against another alphabet.
+
+        Raises `unknown symbol` for the first token, in sequence order, that
+        the other alphabet lacks.
+        """
         if alphabet == self.alphabet:
             return self
-        return Sequence.from_tokens(alphabet, self.tokens)
+        index = alphabet._index
+        lookup = np.array([index.get(t, -1) for t in self.alphabet.tokens])
+        absent = lookup < 0  # tokens the other alphabet lacks
+        if absent.any():
+            unknown = np.flatnonzero(absent[self.array])
+            if unknown.size:
+                token = self.alphabet.token_of(int(self.array[unknown[0]]))
+                raise ValueError(f"unknown symbol: {token!r}")
+        # An absent token's -1 is never gathered: it does not occur.
+        ids = lookup.astype(alphabet.id_dtype)[self.array]
+        return Sequence._trusted(alphabet, ids)
 
 
 def match_ends(

@@ -197,6 +197,9 @@ class TestMineScore:
             (("precision",), 4.7),
             (("precision",), True),
             (("frequencies", "A"), 3.5),
+            (("n",), "6"),
+            (("precision",), "4"),
+            (("frequencies", "A"), "3"),
         ],
         ids=[
             "frequencies-list",
@@ -210,6 +213,9 @@ class TestMineScore:
             "precision-fraction",
             "precision-bool",
             "count-fraction",
+            "n-string",
+            "precision-string",
+            "count-string",
         ],
     )
     def test_malformed_field_type(self, capsys, tmp_path, path, value):
@@ -313,6 +319,28 @@ class TestSynth:
             capsys, "synth", "--n", "10", "--dist", "0.5,0.5"
         )
         assert code == 2
+
+    @pytest.mark.parametrize("rules", ["A->B", ""])
+    def test_alphabet_entries_stripped(self, capsys, rules):
+        argv = ("--rules", rules, "--n", "50", "--seed", "3")
+        code, out, _ = run(capsys, "synth", "--alphabet", "A, B, C", *argv)
+        assert code == 0
+        tokens = out.split()
+        assert len(tokens) == 50 and set(tokens) == {"A", "B", "C"}
+        assert out == " ".join(tokens) + "\n"
+        assert run(capsys, "synth", "--alphabet", "A,B,C", *argv)[1] == out
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_alphabet_token_with_whitespace(self, capsys, tmp_path, to_file):
+        # "A B" reads back as two tokens: 8 symbols would read as up to 16.
+        path = tmp_path / "seq.txt"
+        argv = ["synth", "--alphabet", "A B,C", "--rules", "", "--n", "8"]
+        if to_file:
+            argv += ["--out", str(path)]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "cannot be written as text: 'A B'" in err
+        assert not path.exists()
 
 
 class TestTrace:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import statistics
 import tracemalloc
@@ -105,6 +106,115 @@ class TestSynthGenerate:
         s, _ = synth_generate(spec)
         f = frequencies(s)
         assert f.prob(s.alphabet.id_of("A")) == pytest.approx(0.7, abs=0.03)
+
+
+K5 = ("A", "B", "C", "D", "E")
+K20 = tuple(chr(ord("A") + i) for i in range(20))
+K20_RULES = (
+    (("A",), ("B",)),
+    (("C", "D"), ("E",)),
+    (("F",), ("G", "H")),
+    (("I", "J"), ("K", "L")),
+    (("M",), ("N",)),
+    (("O", "P", "Q"), ("R",)),
+)
+A_B = ((("A",), ("B",)),)
+
+#: sha256 of the generated ids. The first four specs are the benchmark's
+#: inputs (perfbench/workloads.py: K5 and K20 rounds, a classifier training
+#: sequence, the apply-k20 held-out sequence), so a generator change that
+#: would change them fails here.
+PINNED_SYNTH = [
+    pytest.param(
+        SyntheticSpec(5_000, K5, None, A_B, 0.5, 301_000),
+        "9e71a337c6c0166c8c1934b221aec9b3795eff024696ddef88376a7fd120cc7b",
+        id="planted-k5",
+    ),
+    pytest.param(
+        SyntheticSpec(12_500, K20, None, K20_RULES, 0.6, 301_000),
+        "ea4839174a3f93f2d287d8a174d7739d76bb37de5f58c8f572420e89af0add0b",
+        id="planted-k20",
+    ),
+    pytest.param(
+        SyntheticSpec(2_000, K20, None, K20_RULES, 0.6, 2**31),
+        "e0bbc4c40cdcb3c8d2b3c26955d30fee7f38c105462774ed1dc62c8853b8666c",
+        id="classifier-k20",
+    ),
+    pytest.param(
+        SyntheticSpec(1_000_000, K20, None, K20_RULES, 0.6, 301_000),
+        "b3e3a6cc5908d36c4130dc6a4afe3f542d32847bd6f925c2fb07f6af4d5a9927",
+        id="apply-k20",
+    ),
+    pytest.param(
+        SyntheticSpec(300, ("A", "B", "C"), None, (((), ("C",)),), 0.3, 7),
+        "e298e05aa536428b9c373b150c3bb24c5581d313e3490a07757ef8cb4403930e",
+        id="empty-antecedent",
+    ),
+    pytest.param(
+        SyntheticSpec(400, K5, None, ((("A",), ("B", "C", "D")),), 0.5, 8),
+        "55b648cf59134531d23aeb92f201e490437fb413332efb90100a83979fe525a3",
+        id="multi-symbol-consequent",
+    ),
+    pytest.param(  # A -> B, C A -> D E and ∅ -> C all insert after an A
+        SyntheticSpec(
+            400,
+            K5,
+            None,
+            ((("A",), ("B",)), (("C", "A"), ("D", "E")), ((), ("C",))),
+            0.5,
+            9,
+        ),
+        "fdd55deb4f83bdc99bdc2acf8676d1b2d09eebebf72d15365daf58874def1a43",
+        id="same-point",
+    ),
+    pytest.param(
+        SyntheticSpec(1_000, K5, None, A_B, 0.0, 10),
+        "a7bc884fa68c5e6099ceaedd321408ff1adeebcf791e41b9ba0f98e3341afcc1",
+        id="ip-0",
+    ),
+    pytest.param(
+        SyntheticSpec(1_000, K5, None, A_B, 1.0, 11),
+        "fa85b823620a344e13336535c600551b802de1396351c05b4f2e6333d5bf601c",
+        id="ip-1",
+    ),
+    pytest.param(
+        SyntheticSpec(
+            1_000,
+            K5,
+            {"A": 0.5, "B": 0.1, "C": 0.2, "D": 0.15, "E": 0.05},
+            ((("A",), ("B",)), (("D", "E"), ("A", "C"))),
+            0.5,
+            12,
+        ),
+        "91d29eceeb48660f521f185bdc41bb775fbeb8cd38244ea79a56ff974e704f48",
+        id="non-uniform",
+    ),
+    pytest.param(
+        SyntheticSpec(1, K5, None, A_B, 1.0, 13),
+        "e52d9c508c502347344d8c07ad91cbd6068afc75ff6292f062a09ca381c89e71",
+        id="length-1",
+    ),
+    pytest.param(  # E never occurs, so E -> A takes no draw
+        SyntheticSpec(
+            500,
+            K5,
+            {"A": 0.25, "B": 0.25, "C": 0.25, "D": 0.25, "E": 0.0},
+            ((("E",), ("A",)), (("A",), ("B",))),
+            0.5,
+            14,
+        ),
+        "d2c5744790d2b9969996f56389feeb9e20503eb1ed0beac2610758693ed53f82",
+        id="never-matches",
+    ),
+]
+
+
+@pytest.mark.parametrize("spec, digest", PINNED_SYNTH)
+def test_synth_generate_pinned(spec, digest):
+    s, targets = synth_generate(spec)
+    assert len(s) == spec.length and s.array.dtype == np.uint8
+    assert hashlib.sha256(s.array.tobytes()).hexdigest() == digest
+    assert tuple(r.tokens(s.alphabet) for r in targets) == spec.rules
 
 
 class TestHitRate:

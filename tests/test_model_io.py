@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cossu import (
     Alphabet,
@@ -127,6 +129,53 @@ class TestSequenceParsing:
         # Without a given alphabet, the tokens that occur form it.
         inferred = read_sequence(path)
         assert inferred.tokens == s.tokens
+
+    @pytest.mark.parametrize("token", ["", "A B", "A\tB", "B\n", "A\u00a0B"])
+    def test_token_with_whitespace_not_written(self, token, tmp_path):
+        s = Sequence(Alphabet([token, "C"]), [0, 1, 0])
+        path = tmp_path / "seq.txt"
+        with pytest.raises(ValueError, match="cannot be written as text"):
+            write_sequence(s, path)
+        assert not path.exists()
+
+
+#: Tokens a sequence file can hold: no whitespace, as `str.split` reads it.
+TOKEN = st.text(
+    st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=3
+).filter(lambda t: t.split() == [t])
+
+
+@st.composite
+def seq_and_target_alphabet(draw):
+    tokens = draw(st.lists(TOKEN, min_size=1, max_size=8, unique=True))
+    ids = draw(st.lists(st.integers(0, len(tokens) - 1), max_size=40))
+    kept = draw(st.lists(st.sampled_from(tokens), unique=True))
+    extra = draw(st.lists(TOKEN, max_size=3))
+    target = Alphabet(set(kept) | set(extra) or set(tokens))
+    return Sequence(Alphabet(tokens), ids), target
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=seq_and_target_alphabet())
+def test_array_paths_match_token_by_token(tmp_path_factory, case):
+    """`tokens`, `reindexed` and the text format against one-token-at-a-time
+    references, including the error for a token the target lacks."""
+    s, target = case
+    tokens = tuple(s.alphabet.token_of(i) for i in s.ids)
+    assert s.tokens == tokens
+    try:
+        expected = Sequence.from_tokens(target, tokens)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            s.reindexed(target)
+        assert str(raised.value) == str(exc)
+    else:
+        assert s.reindexed(target) == expected
+    path = tmp_path_factory.mktemp("seq") / "seq.txt"
+    write_sequence(s, path)
+    assert path.read_text(encoding="utf-8") == " ".join(tokens) + "\n"
+    if tokens:
+        assert read_sequence(path, alphabet=s.alphabet) == s
 
 
 class TestTargetsJson:
