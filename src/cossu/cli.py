@@ -301,6 +301,8 @@ def _tau_grid(text: str) -> tuple[float, ...]:
         ) from None
     if not step > 0.0:
         raise argparse.ArgumentTypeError(f"step must be positive, got {text!r}")
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"empty grid: lo > hi in {text!r}")
     taus = []
     t = lo
     while t <= hi + 1e-12:

@@ -214,10 +214,12 @@ class SequenceScorer:
     `objective_evals` counts the objective evaluations made on this state
     and carries over to clones.
 
-    Adding a rule splits the classes its active positions fall in. Removing
-    one leaves the partition as it is, which stays exact, only finer than
-    needed. The class-id array and the per-class rule tables are replaced,
-    never changed in place, so clones share them.
+    The partition is the only state kept about rules: a rule's (p, q) per
+    class, its row, comes from class counts of its stage prefixes and is
+    cached until the partition changes. Adding a rule splits the classes by
+    its (p, q) and renumbers them in (class, q, p) order; removing one
+    leaves the partition exact, only finer than needed. Clones share the
+    class ids and caches: a split replaces them rather than changing them.
     """
 
     def __init__(self, model: Model, s: Sequence):
@@ -228,22 +230,15 @@ class SequenceScorer:
         self.k = len(model.alphabet)
         self.rules: list[Rule] = list(model.rules[: self.k])
         self.weights = np.array(model.weights[: self.k], dtype=np.float64)
-        sym, cls = np.unique(self.s_arr, return_inverse=True)
-        self._cls = cls.reshape(-1)
-        self._sym = sym
-        self._count = np.bincount(self._cls, minlength=sym.size).astype(
-            np.float64
+        self._sym, self._cls, count = np.unique(
+            self.s_arr, return_inverse=True, return_counts=True
         )
-        self.num = self.weights[sym]
-        self.den = np.full(sym.size, float(self.weights.sum()))
-        # Row i holds rule i's stage counts per class, in the smallest
-        # unsigned dtype that holds them. A singleton is active everywhere
-        # and predicts correctly where its symbol occurs.
-        self._p = (sym == np.arange(self.k)[:, None]).astype(np.uint8)
-        self._q = np.ones((self.k, sym.size), np.uint8)
+        self._count = count.astype(np.float64)
+        self.num = self.weights[self._sym]
+        self.den = np.full(self._sym.size, float(self.weights.sum()))
         self.objective_evals = 0
-        self._after: dict[tuple[int, ...], np.ndarray] = {}
-        self._hist: dict[tuple[int, ...], np.ndarray] = {}
+        # Per stage prefix: active positions, class counts; per rule: row.
+        self._after, self._hist, self._rows = {}, {}, {}
         for rule, w in zip(model.rules[self.k :], model.weights[self.k :]):
             self._append(rule, float(w))
         self._recompute()
@@ -251,47 +246,25 @@ class SequenceScorer:
     # -- construction helpers -------------------------------------------
 
     def _append(self, rule: Rule, weight: float) -> None:
-        """Add a rule at `weight`, first splitting the classes it touches
-        so that it has one (p, q) throughout each class."""
+        """Add a rule at `weight`, first relabelling the classes by
+        (class, q, p) so that the rule has one (p, q) throughout each."""
         pos, p, q = _rule_activity(self.s_arr, rule)
         base = len(rule.consequent) + 1  # p <= q < base
-        key = (self._cls[pos] * base + q) * base + p
-        groups, inverse = np.unique(key, return_inverse=True)
-        size = np.bincount(inverse, minlength=groups.size).astype(np.float64)
+        key = self._cls * (base * base)
+        key[pos] += q.astype(np.int64) * base + p
+        groups, self._cls, count = np.unique(
+            key, return_inverse=True, return_counts=True
+        )
+        self._count = count.astype(np.float64)
         parent = groups // (base * base)
-        g = self._sym.size
-        covered = np.bincount(parent, weights=size, minlength=g)
-        # The first group of a class that the rule covers entirely keeps
-        # the class id; every other group becomes a new class.
-        first = np.ones(groups.size, dtype=bool)
-        first[1:] = parent[1:] != parent[:-1]
-        keep = first & (covered[parent] == self._count[parent])
-        origin = parent[~keep]
-        ids = parent.copy()
-        ids[~keep] = g + np.arange(origin.size)
-        count = self._count - covered
-        count[parent[keep]] = size[keep]
-        self._count = np.concatenate([count, size[~keep]])
-        self._sym = np.concatenate([self._sym, self._sym[origin]])
-        self.num = np.concatenate([self.num, self.num[origin]])
-        self.den = np.concatenate([self.den, self.den[origin]])
-        self._p = np.concatenate([self._p, self._p[:, origin]], axis=1)
-        self._q = np.concatenate([self._q, self._q[:, origin]], axis=1)
-        cls = self._cls.copy()
-        cls[pos] = ids[inverse]
-        self._cls = cls
-        self._hist = {}
-
-        p_new = np.zeros(self._sym.size, p.dtype)
-        q_new = np.zeros(self._sym.size, q.dtype)
-        p_new[ids] = groups % base
-        q_new[ids] = groups // base % base
-        self._p = np.vstack([self._p, p_new])
-        self._q = np.vstack([self._q, q_new])
+        self._sym, self.num, self.den = (
+            self._sym[parent], self.num[parent], self.den[parent]
+        )
+        # Rebound, not cleared: clones share these with the old partition.
+        self._hist, self._rows = {}, {}
         self.rules.append(rule)
         self.weights = np.append(self.weights, weight)
-        self.num += weight * p_new
-        self.den += weight * q_new
+        self._shift(len(self.rules) - 1, weight)
 
     def _recompute(self) -> None:
         self._total = float(
@@ -320,10 +293,10 @@ class SequenceScorer:
         pass over the classes where the rule is active.
         """
         w0 = float(self.weights[index])
-        on = np.flatnonzero(self._q[index])
+        p, q = self._row(index)
+        on = np.flatnonzero(q)
         # float64 once here, not a mixed-dtype product on every call.
-        p = self._p[index, on].astype(np.float64)
-        q = self._q[index, on].astype(np.float64)
+        p, q = p[on].astype(np.float64), q[on].astype(np.float64)
         count, base_num, base_den = self._count[on], self.num[on], self.den[on]
         rest = self._total - float(
             count @ (np.log2(base_den) - np.log2(base_num))
@@ -341,13 +314,46 @@ class SequenceScorer:
     def _histogram(self, prefix: tuple[int, ...]) -> np.ndarray:
         """Class counts where a stage with this prefix is active."""
         if prefix not in self._hist:
-            if prefix and prefix not in self._after:
-                after = match_ends(self.s_arr, prefix) + 1
-                self._after[prefix] = after[after < self.s_arr.size]
-            self._hist[prefix] = self._count if not prefix else np.bincount(
+            if prefix not in self._after:
+                self._after[prefix] = _active(self.s_arr, prefix)
+            self._hist[prefix] = np.bincount(
                 self._cls[self._after[prefix]], minlength=self._sym.size
             )
         return self._hist[prefix]
+
+    def _nesting(self, rule: Rule, base: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per stage of the rule and class: how many positions have the
+        stage innermost, and q * base + p there.
+
+        Two stages are active together only where one prefix is a suffix of
+        the other, so each nests in the longest such shorter one. Where a
+        stage is innermost (its histogram less its children's) q is its
+        depth and p counts its chain's stages that predict there."""
+        a, c = rule.antecedent, rule.consequent
+        prefixes = [a + c[:j] for j in range(len(c))]
+        # The last row stands for no stage.
+        inner = np.zeros((len(c) + 1, self._sym.size))
+        inner[:-1] = [self._histogram(prefix) for prefix in prefixes]
+        qp = np.zeros(inner.shape, np.int64)
+        for j, prefix in enumerate(prefixes):
+            up = j - 1
+            while up >= 0 and prefix[j - up :] != prefixes[up]:
+                up -= 1
+            qp[j] = qp[up] + base + (self._sym == c[j])
+            inner[up] -= inner[j]  # row j is whole: its children follow
+        return inner[:-1], qp[:-1]
+
+    def _row(self, index: int) -> tuple[np.ndarray, np.ndarray]:
+        """Rule `index`'s (p, q) per class, 0 where it is not active."""
+        rule = self.rules[index]
+        if rule not in self._rows:
+            base = len(rule.consequent) + 1
+            inner, qp = self._nesting(rule, base)
+            # Every stage innermost somewhere in a class has its (q, p).
+            q, p = np.divmod(np.where(inner > 0, qp, 0).max(axis=0), base)
+            counts = np.min_scalar_type(len(rule.consequent))
+            self._rows[rule] = p.astype(counts), q.astype(counts)
+        return self._rows[rule]
 
     def lane_objective(self, rules: list[Rule], initial: float):
         """Data bits of one tentative state per lane, as a function of an
@@ -355,30 +361,15 @@ class SequenceScorer:
 
         Lane i's state is this one plus rules[i] at weight `initial`. Its
         positions are grouped by (class, q, p), the classes adding the rule
-        would make. Two stages are active together only where one prefix is
-        a suffix of the other, so each nests in the longest such shorter
-        one. Where a stage is innermost (its histogram less its children's)
-        q is its depth and p counts its chain's stages that predict there.
+        would make, from the rule's `_nesting`.
         """
         m, g = len(rules), self._sym.size
         base = 1 + max(len(rule.consequent) for rule in rules)
         span = g * base * base
         keys, sizes = [], []
         for i, rule in enumerate(rules):
-            a, c = rule.antecedent, rule.consequent
-            prefixes = [a + c[:j] for j in range(len(c))]
-            # Per stage and class: the innermost counts, and q * base + p
-            # on the stage's chain. The last row stands for no stage.
-            inner = np.zeros((len(c) + 1, g))
-            inner[:-1] = [self._histogram(prefix) for prefix in prefixes]
-            qp = np.zeros((len(c) + 1, g), np.int64)
-            for j, prefix in enumerate(prefixes):
-                up = j - 1
-                while up >= 0 and prefix[j - up :] != prefixes[up]:
-                    up -= 1
-                qp[j] = qp[up] + base + (self._sym == c[j])
-                inner[up] -= inner[j]  # row j is whole: its children follow
-            stage, on = np.nonzero(inner[:-1])
+            inner, qp = self._nesting(rule, base)
+            stage, on = np.nonzero(inner)
             keys.append(i * span + on * base * base + qp[stage, on])
             sizes.append(inner[stage, on])
         groups, inverse = np.unique(np.concatenate(keys), return_inverse=True)
@@ -410,8 +401,9 @@ class SequenceScorer:
     # -- mutations --------------------------------------------------------
 
     def _shift(self, index: int, delta: float) -> None:
-        self.num += delta * self._p[index]
-        self.den += delta * self._q[index]
+        p, q = self._row(index)
+        self.num += delta * p
+        self.den += delta * q
 
     def set_weight(self, index: int, w: float) -> None:
         delta = float(w) - float(self.weights[index])
@@ -431,14 +423,12 @@ class SequenceScorer:
         self._shift(index, -float(self.weights[index]))
         del self.rules[index]
         self.weights = np.delete(self.weights, index)
-        self._p = np.delete(self._p, index, axis=0)
-        self._q = np.delete(self._q, index, axis=0)
         self._recompute()
 
     def clone(self) -> "SequenceScorer":
         twin = object.__new__(SequenceScorer)
         twin.__dict__.update(self.__dict__)
-        # Arrays replaced on every split are shared; these change in place.
+        # The partition and its caches are shared; these change in place.
         twin.rules = list(self.rules)
         twin.weights = self.weights.copy()
         twin.num = self.num.copy()
@@ -446,24 +436,23 @@ class SequenceScorer:
         return twin
 
 
+def _active(ids: np.ndarray, prefix: tuple[int, ...]) -> np.ndarray:
+    """Sorted positions of ids where a stage with this prefix is active:
+    just after each match of the prefix, and everywhere for the empty one."""
+    if not prefix:
+        return np.arange(ids.size)
+    t = match_ends(ids, prefix) + 1
+    return t[t < ids.size]
+
+
 def _stage_activity(
     ids: np.ndarray, rule: Rule
 ) -> Iterator[tuple[np.ndarray, int]]:
     """Per consequent stage of the rule: the sorted positions of ids where
-    the stage is active, and the symbol it predicts there.
-
-    Stage j is active at position t when antecedent plus the first j
-    consequent symbols end at t - 1; an empty prefix is active everywhere.
-    """
-    n = ids.size
+    the stage is active, and the symbol it predicts there."""
     a, c = rule.antecedent, rule.consequent
     for j in range(len(c)):
-        if len(a) + j == 0:
-            t = np.arange(n)
-        else:
-            t = match_ends(ids, a + c[:j]) + 1
-            t = t[t < n]
-        yield t, c[j]
+        yield _active(ids, a + c[:j]), c[j]
 
 
 def _rule_activity(

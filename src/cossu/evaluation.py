@@ -50,13 +50,15 @@ class SyntheticSpec:
             raise ValueError("length must be positive")
         if not 0.0 <= self.insertion_probability <= 1.0:
             raise ValueError("insertion probability must lie in [0, 1]")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.distribution is not None:
             missing = set(self.distribution) - set(self.alphabet)
             if missing or set(self.alphabet) - set(self.distribution):
                 raise ValueError("distribution must cover the alphabet")
-            total = sum(self.distribution.values())
-            if abs(total - 1.0) > 1e-9:
-                raise ValueError("distribution must sum to 1")
+            p = self.distribution.values()  # a NaN makes sum(p) NaN
+            if min(p) < 0.0 or not abs(sum(p) - 1.0) <= 1e-9:
+                raise ValueError("probabilities must be >= 0 and sum to 1")
 
 
 def synth_generate(spec: SyntheticSpec) -> tuple[Sequence, tuple[Rule, ...]]:
@@ -246,6 +248,9 @@ def evaluate_prediction(
     The recall/precision points over the sweep are summarized by a
     trapezoidal area.
     """
+    taus = tuple(taus)
+    if not taus:
+        raise ValueError("no thresholds")
     truth = test.reindexed(predictor.alphabet).array
     n = truth.size
     if n == 0:

@@ -12,7 +12,7 @@ import json
 from pathlib import Path
 from typing import Iterable
 
-from .encoding import Model
+from .encoding import Model, quantize_weight
 from .rules import Rule
 from .sequence import Alphabet, FrequencyTable, Sequence
 
@@ -135,6 +135,7 @@ def model_from_dict(obj: dict) -> Model:
         freq = FrequencyTable(alphabet, counts, _number(int, n, "n"))
     except OverflowError:
         raise ValueError("malformed model: counts beyond float range") from None
+    precision = _number(int, precision, "precision")
     rules = []
     weights = []
     for entry in raw_rules:
@@ -150,8 +151,13 @@ def model_from_dict(obj: dict) -> Model:
         ant = _tokens(entry["antecedent"], "malformed model: rule antecedent")
         cons = _tokens(entry["consequent"], "malformed model: rule consequent")
         rules.append(Rule.from_tokens(alphabet, ant, cons))
-        weights.append(_number(float, entry["weight"], "rule weight"))
-    precision = _number(int, precision, "precision")
+        w = _number(float, entry["weight"], "rule weight")
+        if not (0.0 < w < 1.0 and quantize_weight(w, precision) == w):
+            raise ValueError(
+                f"malformed model: rule weight {entry['weight']!r} is not in "
+                f"(0, 1) with at most {precision} decimals"
+            )
+        weights.append(w)
     return Model(alphabet, freq, tuple(rules), tuple(weights), precision)
 
 

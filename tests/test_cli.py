@@ -200,6 +200,9 @@ class TestMineScore:
             (("n",), "6"),
             (("precision",), "4"),
             (("frequencies", "A"), "3"),
+            (("rules", 0, "weight"), "1.5"),
+            (("rules", 0, "weight"), "0"),
+            (("rules", 0, "weight"), "0.00001"),
         ],
         ids=[
             "frequencies-list",
@@ -216,6 +219,9 @@ class TestMineScore:
             "n-string",
             "precision-string",
             "count-string",
+            "weight-above-one",
+            "weight-zero",
+            "weight-beyond-precision",
         ],
     )
     def test_malformed_field_type(self, capsys, tmp_path, path, value):
@@ -228,9 +234,12 @@ class TestMineScore:
         bad.write_text(json.dumps(obj))
         seq = tmp_path / "seq.txt"
         seq.write_text(VALID_SEQUENCE)
-        code, _, err = run(capsys, "score", "--model", str(bad), "--seq", str(seq))
-        assert code == 2
-        assert "malformed model" in err
+        for command, data in (("score", "--seq"), ("predict", "--test")):
+            code, _, err = run(
+                capsys, command, "--model", str(bad), data, str(seq)
+            )
+            assert code == 2
+            assert "malformed model" in err and str(bad) in err
 
     @pytest.mark.parametrize(
         "fields, reason",
@@ -319,6 +328,20 @@ class TestSynth:
             capsys, "synth", "--n", "10", "--dist", "0.5,0.5"
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (("--dist=-0.5,1.5,0,0,0",), "must be >= 0 and sum to 1"),
+            (("--dist=nan,1,0,0,0",), "must be >= 0 and sum to 1"),
+            (("--seed", "-1"), "seed must be non-negative, got -1"),
+        ],
+        ids=["negative-probability", "nan-probability", "negative-seed"],
+    )
+    def test_bad_spec_is_data_error(self, capsys, argv, reason):
+        code, out, err = run(capsys, "synth", "--n", "10", *argv)
+        assert code == 2 and not out
+        assert reason in err
 
     @pytest.mark.parametrize("rules", ["A->B", ""])
     def test_alphabet_entries_stripped(self, capsys, rules):
@@ -642,6 +665,7 @@ class TestTauGrid:
             ("nan", "outside [0, 1]"),
             (f"0:1:{0.5 / MAX_TAUS}", "more than"),
             ("1:1:1e-300", "more than"),
+            ("0.9:0.1:0.05", "lo > hi"),
         ],
     )
     def test_bad_grid_is_usage_error(self, capsys, grid, reason):

@@ -354,11 +354,29 @@ _STEPS = st.sampled_from(["add", "set", "remove", "clone", "back"])
 _WEIGHTS = st.floats(0.05, 20.0)
 
 
+def _assert_rows_match_activity(scorer: SequenceScorer) -> None:
+    """The invariant the scorer's derived rows rest on: every class holds a
+    position, and each rule's row, read at a position's class, is the
+    rule's (p, q) there from `_rule_activity` (0 where it is not active)."""
+    n, g = scorer.s_arr.size, scorer._sym.size
+    assert scorer._cls.max() < g
+    assert np.bincount(scorer._cls, minlength=g).min() > 0
+    for i, rule in enumerate(scorer.rules):
+        pos, p, q = _rule_activity(scorer.s_arr, rule)
+        want_p, want_q = np.zeros(n, np.int64), np.zeros(n, np.int64)
+        want_p[pos], want_q[pos] = p, q
+        row_p, row_q = scorer._row(i)
+        assert row_p.size == row_q.size == g
+        assert np.array_equal(row_p[scorer._cls], want_p)
+        assert np.array_equal(row_q[scorer._cls], want_q)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.integers(0, 2), min_size=1, max_size=40), st.data())
 def test_scorer_steps_match_rebuild(ids, data):
-    """Every incremental step agrees with a from-scratch evaluation, and a
-    clone's steps never show in the scorer it was cloned from."""
+    """Every incremental step agrees with a from-scratch evaluation, a
+    clone's steps never show in the scorer it was cloned from, and every
+    rule's derived row matches its activity in every scorer."""
     s = Sequence(Alphabet(["a", "b", "c"]), tuple(ids))
     scorer = SequenceScorer(Model.empty(frequencies(s)), s)
     k = scorer.k
@@ -389,6 +407,8 @@ def test_scorer_steps_match_rebuild(ids, data):
         for source, model, bits in sources:
             assert source.model() == model
             assert source.data_bits == bits
+            _assert_rows_match_activity(source)
+        _assert_rows_match_activity(scorer)
         assert scorer.data_bits == pytest.approx(
             data_code_length(scorer.model(), s), abs=1e-9
         )

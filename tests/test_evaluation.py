@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 import statistics
 import tracemalloc
@@ -72,6 +73,21 @@ class TestSynthGenerate:
             SyntheticSpec(distribution={"A": 1.0})
         with pytest.raises(ValueError):
             SyntheticSpec(insertion_probability=1.5)
+
+    @pytest.mark.parametrize(
+        "fields, reason",
+        [
+            ({"distribution": {"A": -0.5, "B": 1.5}}, ">= 0 and sum to 1"),
+            ({"distribution": {"A": math.nan, "B": 1.0}}, ">= 0 and sum to 1"),
+            ({"distribution": {"A": 1.0, "B": math.nan}}, ">= 0 and sum to 1"),
+            ({"distribution": {"A": math.inf, "B": 0.0}}, "sum to 1"),
+            ({"seed": -1}, "seed must be non-negative"),
+        ],
+        ids=["negative", "nan", "nan-last", "inf", "seed"],
+    )
+    def test_spec_rejects_bad_numbers(self, fields, reason):
+        with pytest.raises(ValueError, match=reason):
+            SyntheticSpec(alphabet=("A", "B"), **fields)
 
     def test_matches_one_insertion_at_a_time(self):
         """Rules that insert at the same point keep their listed order."""
@@ -303,6 +319,11 @@ class TestEvaluatePrediction:
             UniformPredictor(s.alphabet), s, taus=(0.3,)
         )
         assert outcome.at(0.3).predicted == 0
+
+    def test_no_thresholds_rejected(self, worked):
+        m = Model.empty(frequencies(worked))
+        with pytest.raises(ValueError, match="no thresholds"):
+            evaluate_prediction(m, worked, taus=())
 
     def test_auc_trapezoid(self, worked):
         m = Model.empty(frequencies(worked))

@@ -350,17 +350,19 @@ def _noisy_period_7() -> Sequence:
     return Sequence(Alphabet(str(i) for i in range(7)), ids)
 
 
-#: Mined rule sets and total bits of fixed inputs, so that a change to
-#: mining that should leave models alone is caught. The planted inputs are
-#: the training parts of the benchmark's first planted-k5 and planted-k20
-#: sequences at seed 301, and its k5 class-y training sequence. A change
-#: that alters models on purpose updates these values and accounts for
-#: every change.
+#: Mined rule sets, total bits and `done` counts (in the order of
+#: selector.COUNTS) of fixed inputs, so that a change to mining that should
+#: leave models and the work that finds them alone is caught. The planted
+#: inputs are the training parts of the benchmark's first planted-k5 and
+#: planted-k20 sequences at seed 301, and its k5 class-y training sequence.
+#: A change that alters models on purpose updates these values and
+#: accounts for every change.
 PINNED = {
     "planted-k5": (
         lambda: _planted(5000, 4000, seed=301_000),
         {"A -> B"},
         9039.680302640088,
+        (273, 1, 0, 284, 9592),
     ),
     "planted-k20": (
         lambda: _planted(
@@ -381,6 +383,7 @@ PINNED = {
             "M -> N",
         },
         40495.443650406276,
+        (155, 7, 0, 343, 13144),
     ),
     "overlapping-stages": (
         lambda: _planted(
@@ -393,6 +396,7 @@ PINNED = {
         ),
         {"A -> A", "B A A -> A", "B B -> B", "C A -> A A", "∅ -> A A"},
         4145.873221096535,
+        (774, 5, 0, 807, 27951),
     ),
     "period-7": (
         _noisy_period_7,
@@ -403,20 +407,25 @@ PINNED = {
             "6 -> 0 1 2 3 4 5 6 0 1 2",
         },
         2090.3228405843065,
+        (1993, 4, 0, 2038, 68199),
     ),
     "k5-class-y": (
         lambda: _planted(2000, 2000, rules=((("C",), ("D",)),), seed=2**31 + 1),
         {"C -> D"},
         4634.042191011744,
+        (134, 1, 0, 145, 5005),
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_pinned_models(name):
-    make, rules, bits = PINNED[name]
+    make, rules, bits, counts = PINNED[name]
     seq = make()
-    model = cossu_mine(seq)
+    events = []
+    model = cossu_mine(seq, trace=events.append)
     mined = {format_rule(r, model.alphabet) for r in model.non_singletons()}
     assert mined == rules
     assert total_dl(model, seq).total == pytest.approx(bits, rel=1e-9)
+    (done,) = [e for e in events if e["event"] == "done"]
+    assert tuple(done[c] for c in selector.COUNTS) == counts
