@@ -237,7 +237,8 @@ class SequenceScorer:
         self.num = self.weights[self._sym]
         self.den = np.full(self._sym.size, float(self.weights.sum()))
         self.objective_evals = 0
-        # Per stage prefix: active positions, class counts; per rule: row.
+        # Per stage prefix: active positions (none kept for the empty one,
+        # active everywhere), class counts; per rule: row.
         self._after, self._hist, self._rows = {}, {}, {}
         for rule, w in zip(model.rules[self.k :], model.weights[self.k :]):
             self._append(rule, float(w))
@@ -314,10 +315,13 @@ class SequenceScorer:
     def _histogram(self, prefix: tuple[int, ...]) -> np.ndarray:
         """Class counts where a stage with this prefix is active."""
         if prefix not in self._hist:
-            if prefix not in self._after:
-                self._after[prefix] = _active(self.s_arr, prefix)
+            at = self._after.get(prefix)
+            if at is None:
+                at = _active(self.s_arr, prefix)
+                if prefix:
+                    self._after[prefix] = at
             self._hist[prefix] = np.bincount(
-                self._cls[self._after[prefix]], minlength=self._sym.size
+                self._cls[at], minlength=self._sym.size
             )
         return self._hist[prefix]
 
@@ -515,28 +519,50 @@ def _rule_stages(
     ]
 
 
-def _distribution_rows(
-    m: Model, stages: list[tuple[np.ndarray, int, float]], lo: int, hi: int
-) -> np.ndarray:
-    """Rows lo..hi-1 of `position_distributions`, from `_rule_stages`.
+def _mass_columns(
+    m: Model,
+    stages: list[tuple[np.ndarray, int, float]],
+    symbols: np.ndarray,
+    lo: int,
+    hi: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows lo..hi-1 of the predictive distributions before normalising:
+    one mass column per symbol of `symbols` (ascending ids), as a
+    (symbols, hi - lo) array, and each row's total active weight.
 
-    Every entry takes the same additions in the same order whatever the
-    row range, so a range is bit-identical to the same rows of the whole.
+    A symbol's mass is its singleton weight plus the weight of each active
+    stage that predicts it; the total is the singleton weights' sum plus
+    the weight of every active stage. Both add the stages in `_rule_stages`
+    order, so an entry is bit-identical whatever the row range and the
+    symbols asked for.
     """
     k = len(m.alphabet)
-    mass = np.tile(np.array(m.weights[:k], dtype=np.float64), (hi - lo, 1))
+    singles = np.array(m.weights[:k], dtype=np.float64)
+    mass = np.repeat(singles[symbols, None], hi - lo, axis=1)
+    total = np.full(hi - lo, singles.sum())
+    column = {sym: j for j, sym in enumerate(symbols.tolist())}
     for t, sym, w in stages:
         a, b = np.searchsorted(t, (lo, hi))
-        mass[t[a:b] - lo, sym] += w
-    mass /= mass.sum(axis=1, keepdims=True)
-    return mass
+        at = t[a:b] - lo
+        total[at] += w
+        if sym in column:
+            mass[column[sym], at] += w
+    return mass, total
 
 
 def position_distributions(m: Model, s: Sequence) -> np.ndarray:
     """Predictive distribution at every position of s, as an (n, k) array.
 
     Row t is the model's next-element distribution given s[1, t]...s[t-1],
-    i.e. what the model would predict just before seeing s[t].
+    i.e. what the model would predict just before seeing s[t]: every
+    symbol's mass column from `_mass_columns`, divided by the row's total
+    active weight. The array is the transpose of a (k, n) one, so each
+    symbol's column is contiguous.
     """
     ids = s.reindexed(m.alphabet).array
-    return _distribution_rows(m, _rule_stages(m, ids), 0, ids.size)
+    k = len(m.alphabet)
+    mass, total = _mass_columns(
+        m, _rule_stages(m, ids), np.arange(k), 0, ids.size
+    )
+    mass /= total
+    return mass.T

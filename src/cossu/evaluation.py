@@ -10,7 +10,7 @@ import numpy as np
 
 from .encoding import (
     Model,
-    _distribution_rows,
+    _mass_columns,
     _rule_stages,
     data_code_length,
     predictive_distribution,
@@ -21,8 +21,10 @@ from .sequence import Alphabet, Sequence, match_ends
 
 DEFAULT_TAUS = tuple(round(0.05 * i, 2) for i in range(20))
 
-#: Rows of a model's predictive distributions held at once while
-#: `evaluate_prediction` reduces them: 10 MB of float64 at k = 20.
+#: Positions that `evaluate_prediction` reduces at once. A block holds one
+#: float64 mass column per symbol that can win (those some stage predicts,
+#: plus the heaviest of the rest) and the positions' shared total active
+#: weight: 512 KB each.
 PREDICTION_BLOCK = 65_536
 
 
@@ -223,16 +225,43 @@ def bigram_baseline(train: Sequence) -> BigramPredictor:
 
 def _model_choices(m: Model, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per position of ids, the model's top probability and the symbol it
-    picks, reduced from `position_distributions` one block of rows at a
-    time so that memory stays bounded in n."""
+    picks (in the alphabet's id dtype), equal bit for bit to the max and
+    argmax of the rows of `position_distributions`.
+
+    A symbol that no stage predicts keeps its singleton weight everywhere,
+    so of those only the first with the largest weight can win, and the
+    others need no column. (The first of each weight a few ulps lighter is
+    kept too: dividing by a position's total can round it to the same
+    probability.) Each block of `PREDICTION_BLOCK` positions divides the
+    `_mass_columns` of the kept symbols by the positions' total active
+    weight, the one `position_distributions` divides by, and keeps a
+    running best over the columns in ascending id order. Only a strictly
+    larger probability replaces it, so ties go to the first symbol in
+    canonical order, as with argmax.
+    """
     stages = _rule_stages(m, ids)
+    k = len(m.alphabet)
+    singles = np.array(m.weights[:k], dtype=np.float64)
+    kept = np.zeros(k, dtype=bool)
+    kept[[sym for _, sym, _ in stages]] = True
+    free = np.flatnonzero(~kept)
+    if free.size:
+        w = singles[free]
+        close = free[w >= w.max() - 8 * np.spacing(w.max())]
+        _, first = np.unique(singles[close], return_index=True)
+        kept[close[first]] = True
+    symbols = np.flatnonzero(kept)
     top = np.empty(ids.size)
-    pick = np.empty(ids.size, dtype=np.int64)
+    pick = np.empty(ids.size, dtype=m.alphabet.id_dtype)
     for lo in range(0, ids.size, PREDICTION_BLOCK):
         hi = min(lo + PREDICTION_BLOCK, ids.size)
-        rows = _distribution_rows(m, stages, lo, hi)
-        top[lo:hi] = rows.max(axis=1)
-        pick[lo:hi] = rows.argmax(axis=1)
+        mass, total = _mass_columns(m, stages, symbols, lo, hi)
+        mass /= total
+        best, choice = top[lo:hi], pick[lo:hi]
+        best[:], choice[:] = mass[0], symbols[0]
+        for sym, column in zip(symbols[1:], mass[1:]):
+            choice[column > best] = sym
+            np.maximum(best, column, out=best)
     return top, pick
 
 

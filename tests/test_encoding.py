@@ -371,12 +371,22 @@ def _assert_rows_match_activity(scorer: SequenceScorer) -> None:
         assert np.array_equal(row_q[scorer._cls], want_q)
 
 
+def _assert_lanes_match_positions(
+    scorer: SequenceScorer, rules: list[Rule], w: np.ndarray
+) -> None:
+    """`lane_objective` at w, read from the scorer's stage-prefix
+    histograms, equals the position-based oracle bit for bit."""
+    got = scorer.lane_objective(rules, 0.5)(w)
+    assert np.array_equal(got, _position_lanes(scorer, rules, 0.5)(w))
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.integers(0, 2), min_size=1, max_size=40), st.data())
 def test_scorer_steps_match_rebuild(ids, data):
     """Every incremental step agrees with a from-scratch evaluation, a
     clone's steps never show in the scorer it was cloned from, and every
-    rule's derived row matches its activity in every scorer."""
+    rule's derived row and one value of `lane_objective` match the
+    positions in every scorer."""
     s = Sequence(Alphabet(["a", "b", "c"]), tuple(ids))
     scorer = SequenceScorer(Model.empty(frequencies(s)), s)
     k = scorer.k
@@ -404,11 +414,15 @@ def test_scorer_steps_match_rebuild(ids, data):
             scorer = scorer.clone()
         elif sources:  # back: drop the clone, as a rejected candidate is
             scorer = sources.pop()[0]
+        lanes = _NESTED + [data.draw(_RULES)]
+        w = np.full(len(lanes), data.draw(_WEIGHTS))
         for source, model, bits in sources:
             assert source.model() == model
             assert source.data_bits == bits
             _assert_rows_match_activity(source)
+            _assert_lanes_match_positions(source, lanes, w)
         _assert_rows_match_activity(scorer)
+        _assert_lanes_match_positions(scorer, lanes, w)
         assert scorer.data_bits == pytest.approx(
             data_code_length(scorer.model(), s), abs=1e-9
         )

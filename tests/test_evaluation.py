@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cossu import (
     Alphabet,
@@ -15,12 +17,14 @@ from cossu import (
     SyntheticSpec,
     bigram_baseline,
     classify,
+    cossu_mine,
     evaluate_prediction,
     frequencies,
     hit_rate,
     position_distributions,
     predict_next,
     rule_support_confidence,
+    singleton_rules,
     synth_generate,
     train_classifier,
 )
@@ -233,6 +237,77 @@ def test_synth_generate_pinned(spec, digest):
     assert tuple(r.tokens(s.alphabet) for r in targets) == spec.rules
 
 
+def _mined_split(spec: SyntheticSpec):
+    """A model mined on the first 80% of the spec's sequence, and the rest."""
+    seq, _ = synth_generate(spec)
+    cut = int(len(seq) * 0.8)
+    return cossu_mine(seq.segment(1, cut)), seq.segment(cut + 1, len(seq))
+
+
+def _applied_class_x():
+    """The class-x model of a k20 classifier (planted rules against their
+    mirror images over the alphabet read backwards), and a held-out
+    sequence of class x."""
+    flip = dict(zip(K20, reversed(K20)))
+    mirrored = tuple(
+        (tuple(flip[t] for t in a), tuple(flip[t] for t in c))
+        for a, c in K20_RULES
+    )
+    x, _ = synth_generate(
+        SyntheticSpec(2_000, K20, None, K20_RULES, 0.6, 2**31)
+    )
+    y, _ = synth_generate(
+        SyntheticSpec(2_000, K20, None, mirrored, 0.6, 2**31 + 1)
+    )
+    model = train_classifier({"x": x, "y": y}).models["x"]
+    held, _ = synth_generate(
+        SyntheticSpec(20_000, K20, None, K20_RULES, 0.6, 301_000)
+    )
+    return model, held
+
+
+PIN_TAUS = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+
+#: `evaluate_prediction` outcomes on the benchmark's prediction inputs at
+#: seed 301: (predicted, correct) at each of PIN_TAUS, and the auc. The
+#: planted inputs are its first planted-k5 and planted-k20 sequences,
+#: mined on their first 80% and predicted on the rest; apply-k20 is its
+#: class-x model on 20 000 held-out symbols. A change to prediction that
+#: should leave its outcomes alone is caught here.
+PINNED_PREDICTION = {
+    "planted-k5": (
+        lambda: _mined_split(
+            SyntheticSpec(5_000, K5, None, A_B, 0.5, 301_000)
+        ),
+        [(1000, 257)] * 3 + [(175, 103)] * 4 + [(0, 0)] * 3,
+        0.4002982142857142,
+    ),
+    "planted-k20": (
+        lambda: _mined_split(
+            SyntheticSpec(12_500, K20, None, K20_RULES, 0.6, 301_000)
+        ),
+        [(2500, 366)] + [(387, 268)] * 4 + [(81, 78)] + [(79, 76)] * 3
+        + [(70, 68)],
+        0.4600868109662899,
+    ),
+    "apply-k20": (
+        _applied_class_x,
+        [(20000, 3016)] + [(3199, 2171)] * 3 + [(2345, 1634)]
+        + [(537, 516)] * 5,
+        0.4526832832394751,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_PREDICTION))
+def test_pinned_prediction(name):
+    make, counts, auc = PINNED_PREDICTION[name]
+    model, test = make()
+    outcome = evaluate_prediction(model, test, PIN_TAUS)
+    assert [(tm.predicted, tm.correct) for tm in outcome.metrics] == counts
+    assert outcome.auc == pytest.approx(auc, rel=1e-12)
+
+
 class TestHitRate:
     def _model_with(self, worked, pairs):
         m = Model.empty(frequencies(worked))
@@ -361,6 +436,120 @@ class TestEvaluatePrediction:
             assert tm.predicted == int(answer.sum())
             assert tm.correct == int((answer & good).sum())
         assert any(0 < tm.predicted < len(s) for tm in outcome.metrics)
+
+
+def _assert_choices_match_dense(m: Model, s: Sequence) -> np.ndarray:
+    """`_model_choices` equals the max and argmax of the dense
+    `position_distributions` rows bit for bit, and `evaluate_prediction`
+    counts as those rows do, with blocks of 1, 7 and more than n rows.
+    Returns the picks."""
+    dists = position_distributions(m, s)
+    want_top, want_pick = dists.max(axis=1), dists.argmax(axis=1)
+    good = want_pick == s.array
+    # Thresholds equal to some top probabilities test the strict `>`.
+    some = np.quantile(want_top, (0, 0.5, 1), method="lower")
+    taus = (0.0, 0.3, 0.5, 0.9, *some)
+    for block in (1, 7, len(s) + 1):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(evaluation, "PREDICTION_BLOCK", block)
+            top, pick = evaluation._model_choices(m, s.array)
+            outcome = evaluate_prediction(m, s, taus)
+        assert np.array_equal(top, want_top)
+        assert np.array_equal(pick, want_pick)
+        for tm in outcome.metrics:
+            answer = want_top > tm.tau
+            assert tm.predicted == int(answer.sum())
+            assert tm.correct == int((answer & good).sum())
+    return pick
+
+
+#: Six symbols, of which a drawn sequence uses at most three.
+SIX = Alphabet("abcdef")
+#: Weights with exact ties (0.25 + 0.25 = 0.5) and near ones (0.1 + 0.2 is
+#: one ulp above 0.3).
+_TIE_WEIGHTS = st.sampled_from([0.1, 0.2, 0.25, 0.3, 0.5, 1.0, 3.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(0, 5), min_size=1, max_size=3, unique=True),
+    st.data(),
+)
+def test_model_choices_match_dense_rows(used, data):
+    """Sequences over at most three of six symbols, so some symbols never
+    occur; singleton weights drawn with ties or all equal; proper rules
+    that overlap with themselves (A -> A A, A B A -> B A B), have an empty
+    antecedent or are random, or none at all."""
+    ids = data.draw(st.lists(st.sampled_from(used), min_size=1, max_size=60))
+    s = Sequence(SIX, ids)
+    singles = data.draw(
+        st.one_of(
+            st.lists(_TIE_WEIGHTS, min_size=6, max_size=6),
+            _TIE_WEIGHTS.map(lambda w: [w] * 6),
+        )
+    )
+    a, b, c = (used * 3)[:3]
+    shapes = [
+        Rule((a,), (a, a)),
+        Rule((a, b, a), (b, a, b)),
+        Rule((), (c, c)),
+        Rule((), (b, a)),
+    ]
+    drawn = st.builds(
+        Rule,
+        st.lists(st.integers(0, 5), max_size=2).map(tuple),
+        st.lists(st.integers(0, 5), min_size=1, max_size=3).map(tuple),
+    )
+    m = Model(SIX, frequencies(s), singleton_rules(SIX), tuple(singles))
+    rules = data.draw(st.lists(st.sampled_from(shapes) | drawn, max_size=4))
+    for rule in rules:
+        if not rule.is_singleton and rule not in m.rules:
+            m = m.with_rule(rule, data.draw(_TIE_WEIGHTS))
+    _assert_choices_match_dense(m, s)
+
+
+def test_model_choices_ties_and_unpredicted_winner():
+    """Hand-made cases for the rules the hypothesis test may rarely hit:
+    ties in probability go to the first symbol, whether it is predicted or
+    not, and a symbol that no stage predicts can win everywhere."""
+    s = Sequence(SIX, [2, 0, 2, 1, 2])  # c a c b c
+    freq = frequencies(s)
+
+    def model(singles, *rules):
+        m = Model(SIX, freq, singleton_rules(SIX), singles)
+        for rule, w in rules:
+            m = m.with_rule(rule, w)
+        return m
+
+    # No proper rules and equal weights: the first symbol everywhere.
+    pick = _assert_choices_match_dense(model((1.0,) * 6), s)
+    assert (pick == 0).all()
+    # After each c, b (predicted) ties a (not predicted): a wins.
+    pick = _assert_choices_match_dense(
+        model((0.5, 0.25, 0.25, 0.1, 0.1, 0.1), (Rule((2,), (1,)), 0.25)), s
+    )
+    assert (pick == 0).all()
+    # After each c, a (predicted) ties b (not predicted): a wins.
+    pick = _assert_choices_match_dense(
+        model((0.25, 0.5, 0.25, 0.1, 0.1, 0.1), (Rule((2,), (0,)), 0.25)), s
+    )
+    assert pick.tolist() == [1, 0, 1, 0, 1]
+    # After each c, b's mass 0.1 + 0.2 is one ulp above a's 0.3, but both
+    # divide by the total 1.17 to the same probability: a wins.
+    pick = _assert_choices_match_dense(
+        model((0.3, 0.1, 0.27, 0.1, 0.1, 0.1), (Rule((2,), (1,)), 0.2)), s
+    )
+    assert (pick == 0).all()
+    # The same between two symbols that no stage predicts.
+    pick = _assert_choices_match_dense(
+        model((0.3, 0.1 + 0.2, 0.22, 0.1, 0.1, 0.1)), s
+    )
+    assert (pick == 0).all()
+    # f never occurs and no stage predicts it, yet it wins everywhere.
+    pick = _assert_choices_match_dense(
+        model((0.1, 0.1, 0.1, 0.1, 0.1, 3.0), (Rule((2,), (0, 1)), 0.5)), s
+    )
+    assert (pick == 5).all()
 
 
 class TestBaselineChoices:
