@@ -248,11 +248,13 @@ class SequenceScorer:
 
     def _append(self, rule: Rule, weight: float) -> None:
         """Add a rule at `weight`, first relabelling the classes by
-        (class, q, p) so that the rule has one (p, q) throughout each."""
-        pos, p, q = _rule_activity(self.s_arr, rule)
+        (class, q, p) so that the rule has one (p, q) throughout each:
+        each active stage adds base to a position's q * base + p, and 1
+        more where it predicts the symbol there."""
         base = len(rule.consequent) + 1  # p <= q < base
         key = self._cls * (base * base)
-        key[pos] += q.astype(np.int64) * base + p
+        for t, sym in _stage_activity(self.s_arr, rule):
+            key[t] += base + (self.s_arr[t] == sym)
         groups, self._cls, count = np.unique(
             key, return_inverse=True, return_counts=True
         )
@@ -452,30 +454,12 @@ def _active(ids: np.ndarray, prefix: tuple[int, ...]) -> np.ndarray:
 def _stage_activity(
     ids: np.ndarray, rule: Rule
 ) -> Iterator[tuple[np.ndarray, int]]:
-    """Per consequent stage of the rule: the sorted positions of ids where
-    the stage is active, and the symbol it predicts there."""
+    """Per consequent stage of the rule: its sorted, distinct active
+    positions in ids, and the symbol it predicts there. Scoring,
+    prediction and the scorer's relabelling all read this one scan."""
     a, c = rule.antecedent, rule.consequent
     for j in range(len(c)):
         yield _active(ids, a + c[:j]), c[j]
-
-
-def _rule_activity(
-    ids: np.ndarray, rule: Rule
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Where a rule is active in ids: sorted positions, with the number of
-    stages active there (q) and of those predicting the symbol that occurs
-    (p), both in the smallest unsigned dtype that holds the stage count."""
-    counts = np.min_scalar_type(len(rule.consequent))
-    hits = [(t, ids[t] == sym) for t, sym in _stage_activity(ids, rule)]
-    if len(hits) == 1:
-        t, good = hits[0]
-        return t, good.astype(counts), np.ones(t.size, counts)
-    t = np.concatenate([h[0] for h in hits])
-    good = np.concatenate([h[1] for h in hits])
-    pos, inverse = np.unique(t, return_inverse=True)
-    q = np.bincount(inverse, minlength=pos.size).astype(counts)
-    p = np.bincount(inverse, weights=good, minlength=pos.size).astype(counts)
-    return pos, p, q
 
 
 def data_code_length(m: Model, s: Sequence) -> float:
@@ -483,8 +467,9 @@ def data_code_length(m: Model, s: Sequence) -> float:
 
     Position t is charged -log2 of the probability the model assigns to
     s[t] given s[1, t-1]; the first element sees the empty history. One
-    pass per rule over its active positions: building SequenceScorer's
-    classes would cost more than a single evaluation saves.
+    pass per (rule, stage) pair of `_rule_stages` over its active
+    positions: building SequenceScorer's classes would cost more than a
+    single evaluation saves.
     """
     if len(s) == 0:
         return 0.0
@@ -493,11 +478,12 @@ def data_code_length(m: Model, s: Sequence) -> float:
     singleton_w = np.array(m.weights[:k], dtype=np.float64)
     den = np.full(ids.size, float(singleton_w.sum()))
     num = singleton_w[ids]
-    for rule, w in zip(m.rules[k:], m.weights[k:]):
-        pos, p, q = _rule_activity(ids, rule)
-        num[pos] += w * p
-        den[pos] += w * q
-    return float(np.sum(np.log2(den)) - np.sum(np.log2(num)))
+    for t, sym, w in _rule_stages(m, ids):
+        den[t] += w
+        num[t[ids[t] == sym]] += w
+    np.log2(den, out=den)
+    np.log2(num, out=num)
+    return float(np.sum(den) - np.sum(num))
 
 
 def total_dl(m: Model, s: Sequence) -> DLReport:
@@ -510,7 +496,7 @@ def _rule_stages(
 ) -> list[tuple[np.ndarray, int, float]]:
     """Every (rule, stage) pair of m's proper rules on ids, in model order:
     the stage's sorted active positions, its predicted symbol and the rule
-    weight."""
+    weight. Scoring and prediction both add the weights in this order."""
     k = len(m.alphabet)
     return [
         (t, sym, w)

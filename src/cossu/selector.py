@@ -163,7 +163,11 @@ class _Run:
         self.counts = dict.fromkeys(COUNTS, 0)
 
     def emit(self, **fields) -> None:
+        """Send one event to the trace hook, if any. A `rule` field is
+        formatted only then: a run without a hook formats no rule."""
         if self.trace is not None:
+            if "rule" in fields:
+                fields["rule"] = format_rule(fields["rule"], self.alphabet)
             self.trace(fields)
 
     @contextmanager
@@ -274,7 +278,7 @@ def cossu_mine(
         run.counts["line_searches"] += 1
         run.emit(
             event="candidate",
-            rule=format_rule(rule, s.alphabet),
+            rule=rule,
             gain=gain,
             weight=weight,
             tentative=total,
@@ -345,7 +349,7 @@ def _prune(
         run.counts["pruned"] += 1
         run.emit(
             event="prune",
-            rule=format_rule(rule, run.alphabet),
+            rule=rule,
             total=total,
         )
         settled = scorer.clone()

@@ -24,10 +24,10 @@ from cossu import (
 )
 from cossu.encoding import (
     SequenceScorer,
-    _rule_activity,
     log2_star,
     quantize_weight,
 )
+from cossu.rules import active_matches
 
 from conftest import char_seq, random_seq
 
@@ -281,9 +281,18 @@ class TestDataCodeLength:
     @staticmethod
     def check_replay(symbols):
         """Random sequences and rules over three symbols: data bits and
-        distributions against per-history `predictive_distribution`."""
+        distributions against per-history `predictive_distribution`. Each
+        sequence is also scored with the `_NESTED` rules added, which are
+        active at two or more stages at once where their prefixes nest."""
         rng = random.Random(11)
         alphabet = Alphabet(f"t{i:03d}" for i in range(symbols[-1] + 1))
+        nested = [
+            Rule(
+                tuple(symbols[i] for i in rule.antecedent),
+                tuple(symbols[i] for i in rule.consequent),
+            )
+            for rule in _NESTED
+        ]
         for _ in range(8):
             drawn = random_seq(rng, 40, 3).ids
             s = Sequence(alphabet, [symbols[i] for i in drawn])
@@ -300,17 +309,24 @@ class TestDataCodeLength:
                 if rule.is_singleton or rule in m.rules:
                     continue
                 m = m.with_rule(rule, rng.uniform(0.1, 3.0))
-            replay = 0.0
-            for t in range(len(s)):
-                p = predictive_distribution(m, s.ids[:t])[s.ids[t]]
-                assert p > 0  # lossless: the realized symbol is decodable
-                replay += -math.log2(p)
-            assert data_code_length(m, s) == pytest.approx(replay, abs=1e-9)
-            rows = position_distributions(m, s)
-            assert rows.shape == (len(s), len(alphabet))
-            for t in range(len(s)):
-                expect = predictive_distribution(m, s.ids[:t])
-                assert np.allclose(rows[t], expect, atol=1e-12)
+            overlapping = m
+            for rule, w in zip(nested, (0.9, 1.7, 2.6, 0.4, 1.3)):
+                if rule not in overlapping.rules:
+                    overlapping = overlapping.with_rule(rule, w)
+            for m in (m, overlapping):
+                replay = 0.0
+                for t in range(len(s)):
+                    p = predictive_distribution(m, s.ids[:t])[s.ids[t]]
+                    assert p > 0  # lossless: the realized symbol is decodable
+                    replay += -math.log2(p)
+                assert data_code_length(m, s) == pytest.approx(
+                    replay, abs=1e-9
+                )
+                rows = position_distributions(m, s)
+                assert rows.shape == (len(s), len(alphabet))
+                for t in range(len(s)):
+                    expect = predictive_distribution(m, s.ids[:t])
+                    assert np.allclose(rows[t], expect, atol=1e-12)
 
 
 class TestScorer:
@@ -354,17 +370,30 @@ _STEPS = st.sampled_from(["add", "set", "remove", "clone", "back"])
 _WEIGHTS = st.floats(0.05, 20.0)
 
 
+def _reference_activity(
+    ids: tuple[int, ...], rule: Rule
+) -> tuple[np.ndarray, np.ndarray]:
+    """A rule's (p, q) at every position of ids, one history at a time from
+    `active_matches`: how many of its stages are active there (q) and how
+    many of those predict the symbol that occurs (p)."""
+    p, q = np.zeros(len(ids), np.int64), np.zeros(len(ids), np.int64)
+    for t in range(len(ids)):
+        for match in active_matches([rule], ids[:t]):
+            q[t] += 1
+            p[t] += match.predicted == ids[t]
+    return p, q
+
+
 def _assert_rows_match_activity(scorer: SequenceScorer) -> None:
     """The invariant the scorer's derived rows rest on: every class holds a
     position, and each rule's row, read at a position's class, is the
-    rule's (p, q) there from `_rule_activity` (0 where it is not active)."""
-    n, g = scorer.s_arr.size, scorer._sym.size
+    rule's (p, q) there from `_reference_activity` (0 where it is not
+    active)."""
+    ids, g = tuple(scorer.s_arr.tolist()), scorer._sym.size
     assert scorer._cls.max() < g
     assert np.bincount(scorer._cls, minlength=g).min() > 0
     for i, rule in enumerate(scorer.rules):
-        pos, p, q = _rule_activity(scorer.s_arr, rule)
-        want_p, want_q = np.zeros(n, np.int64), np.zeros(n, np.int64)
-        want_p[pos], want_q[pos] = p, q
+        want_p, want_q = _reference_activity(ids, rule)
         row_p, row_q = scorer._row(i)
         assert row_p.size == row_q.size == g
         assert np.array_equal(row_p[scorer._cls], want_p)
@@ -440,17 +469,16 @@ def test_scorer_steps_match_rebuild(ids, data):
 
 def _position_lanes(scorer: SequenceScorer, rules: list[Rule], initial: float):
     """The oracle for `SequenceScorer.lane_objective`: each rule's active
-    positions from `_rule_activity`, keyed by (lane, class, q, p) and
+    positions from `_reference_activity`, keyed by (lane, class, q, p) and
     grouped with np.unique, under the same objective formula."""
-    activities = [_rule_activity(scorer.s_arr, rule) for rule in rules]
-    base = 1 + int(max(q.max(initial=0) for _, _, q in activities))
+    ids = tuple(scorer.s_arr.tolist())
+    activities = [_reference_activity(ids, rule) for rule in rules]
+    base = 1 + int(max(q.max(initial=0) for _, q in activities))
     span = scorer._sym.size * base * base
     key = np.concatenate(
         [
-            i * span
-            + (scorer._cls[pos] * base + q.astype(np.int64)) * base
-            + p.astype(np.int64)
-            for i, (pos, p, q) in enumerate(activities)
+            i * span + (scorer._cls[q > 0] * base + q[q > 0]) * base + p[q > 0]
+            for i, (p, q) in enumerate(activities)
         ]
     )
     groups, size = np.unique(key, return_counts=True)

@@ -118,6 +118,28 @@ class TestTrace:
         assert done["accepted"] - done["pruned"] == len(model.non_singletons())
         assert done["accepted"] >= 1
 
+    def test_untraced_run_formats_no_rule(self, monkeypatch):
+        """Rules are formatted for trace events only: a run without a hook,
+        on an input whose traced run screens, accepts and prunes, calls no
+        `format_rule` and mines the same model."""
+        spec = SyntheticSpec(
+            seed=2,
+            length=3000,
+            alphabet=K20,
+            rules=K20_RULES,
+            insertion_probability=0.6,
+        )
+        seq, _ = synth_generate(spec)
+        events = []
+        traced = cossu_mine(seq, trace=events.append)
+        assert events[-1]["accepted"] >= 1 and events[-1]["pruned"] >= 1
+
+        def refuse(*args):
+            raise AssertionError("format_rule called without a trace hook")
+
+        monkeypatch.setattr(selector, "format_rule", refuse)
+        assert cossu_mine(seq) == traced
+
 
 @pytest.mark.parametrize("minsup", [2, 3])
 @pytest.mark.parametrize("cap", [1, 2, 3, 20])
