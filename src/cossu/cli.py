@@ -188,7 +188,11 @@ def cmd_score(args: argparse.Namespace) -> int:
 def _add_spec_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--n", type=int, default=5000)
     sp.add_argument("--alphabet", default="A,B,C,D,E")
-    sp.add_argument("--dist", default="uniform")
+    sp.add_argument(
+        "--dist",
+        default="uniform",
+        help="P1,P2,... in alphabet order, or uniform; a leading - needs --dist=LIST",
+    )
     sp.add_argument("--rules", default="A->B")
     sp.add_argument("--ip", type=float, default=0.5)
 

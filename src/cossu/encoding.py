@@ -214,12 +214,12 @@ class SequenceScorer:
     `objective_evals` counts the objective evaluations made on this state
     and carries over to clones.
 
-    The partition is the only state kept about rules: a rule's (p, q) per
-    class, its row, comes from class counts of its stage prefixes and is
-    cached until the partition changes. Adding a rule splits the classes by
-    its (p, q) and renumbers them in (class, q, p) order; removing one
-    leaves the partition exact, only finer than needed. Clones share the
-    class ids and caches: a split replaces them rather than changing them.
+    Each rule keeps its (p, q) per class, its row, in a list aligned with
+    `rules`. Adding a rule splits the classes by (class, q, p), which gives
+    its row; a new class lies inside its parent, so every earlier row
+    carries over. Removing a rule drops its row and leaves the partition
+    exact, only finer than needed. Clones share the class ids, rows and
+    histograms: a split replaces them rather than changing them.
     """
 
     def __init__(self, model: Model, s: Sequence):
@@ -237,9 +237,10 @@ class SequenceScorer:
         self.num = self.weights[self._sym]
         self.den = np.full(self._sym.size, float(self.weights.sum()))
         self.objective_evals = 0
-        # Per stage prefix: active positions (none kept for the empty one,
-        # active everywhere), class counts; per rule: row.
-        self._after, self._hist, self._rows = {}, {}, {}
+        # Per nonempty stage prefix: active positions, class counts.
+        self._after, self._hist = {}, {}
+        ones = np.ones(self._sym.size, np.uint8)  # singletons act everywhere
+        self._rows = [((self._sym == i).astype(np.uint8), ones) for i in range(self.k)]
         for rule, w in zip(model.rules[self.k :], model.weights[self.k :]):
             self._append(rule, float(w))
         self._recompute()
@@ -259,12 +260,17 @@ class SequenceScorer:
             key, return_inverse=True, return_counts=True
         )
         self._count = count.astype(np.float64)
-        parent = groups // (base * base)
+        parent, qp = np.divmod(groups, base * base)
         self._sym, self.num, self.den = (
             self._sym[parent], self.num[parent], self.den[parent]
         )
-        # Rebound, not cleared: clones share these with the old partition.
-        self._hist, self._rows = {}, {}
+        self._rows = [(p[parent], q[parent]) for p, q in self._rows]
+        # Cast after the divmod: qp itself may not fit the counts' type.
+        q, p = np.divmod(qp, base)
+        counts = np.min_scalar_type(len(rule.consequent))
+        self._rows.append((p.astype(counts), q.astype(counts)))
+        # Rebound, not cleared: clones share it with the old partition.
+        self._hist = {}
         self.rules.append(rule)
         self.weights = np.append(self.weights, weight)
         self._shift(len(self.rules) - 1, weight)
@@ -296,7 +302,7 @@ class SequenceScorer:
         pass over the classes where the rule is active.
         """
         w0 = float(self.weights[index])
-        p, q = self._row(index)
+        p, q = self._rows[index]
         on = np.flatnonzero(q)
         # float64 once here, not a mixed-dtype product on every call.
         p, q = p[on].astype(np.float64), q[on].astype(np.float64)
@@ -316,12 +322,12 @@ class SequenceScorer:
 
     def _histogram(self, prefix: tuple[int, ...]) -> np.ndarray:
         """Class counts where a stage with this prefix is active."""
+        if not prefix:
+            return self._count  # active everywhere; not to be written to
         if prefix not in self._hist:
             at = self._after.get(prefix)
             if at is None:
-                at = _active(self.s_arr, prefix)
-                if prefix:
-                    self._after[prefix] = at
+                at = self._after[prefix] = _active(self.s_arr, prefix)
             self._hist[prefix] = np.bincount(
                 self._cls[at], minlength=self._sym.size
             )
@@ -334,7 +340,8 @@ class SequenceScorer:
         Two stages are active together only where one prefix is a suffix of
         the other, so each nests in the longest such shorter one. Where a
         stage is innermost (its histogram less its children's) q is its
-        depth and p counts its chain's stages that predict there."""
+        depth and p counts its chain's stages that predict there. Only the
+        screening lanes read this: a rule in the scorer keeps its row."""
         a, c = rule.antecedent, rule.consequent
         prefixes = [a + c[:j] for j in range(len(c))]
         # The last row stands for no stage.
@@ -348,18 +355,6 @@ class SequenceScorer:
             qp[j] = qp[up] + base + (self._sym == c[j])
             inner[up] -= inner[j]  # row j is whole: its children follow
         return inner[:-1], qp[:-1]
-
-    def _row(self, index: int) -> tuple[np.ndarray, np.ndarray]:
-        """Rule `index`'s (p, q) per class, 0 where it is not active."""
-        rule = self.rules[index]
-        if rule not in self._rows:
-            base = len(rule.consequent) + 1
-            inner, qp = self._nesting(rule, base)
-            # Every stage innermost somewhere in a class has its (q, p).
-            q, p = np.divmod(np.where(inner > 0, qp, 0).max(axis=0), base)
-            counts = np.min_scalar_type(len(rule.consequent))
-            self._rows[rule] = p.astype(counts), q.astype(counts)
-        return self._rows[rule]
 
     def lane_objective(self, rules: list[Rule], initial: float):
         """Data bits of one tentative state per lane, as a function of an
@@ -407,7 +402,7 @@ class SequenceScorer:
     # -- mutations --------------------------------------------------------
 
     def _shift(self, index: int, delta: float) -> None:
-        p, q = self._row(index)
+        p, q = self._rows[index]
         self.num += delta * p
         self.den += delta * q
 
@@ -427,15 +422,15 @@ class SequenceScorer:
         if index < self.k:
             raise ValueError("singleton rules cannot be removed")
         self._shift(index, -float(self.weights[index]))
-        del self.rules[index]
+        del self.rules[index], self._rows[index]
         self.weights = np.delete(self.weights, index)
         self._recompute()
 
     def clone(self) -> "SequenceScorer":
         twin = object.__new__(SequenceScorer)
         twin.__dict__.update(self.__dict__)
-        # The partition and its caches are shared; these change in place.
-        twin.rules = list(self.rules)
+        # Partition, row arrays, histograms shared; these change in place.
+        twin.rules, twin._rows = list(self.rules), list(self._rows)
         twin.weights = self.weights.copy()
         twin.num = self.num.copy()
         twin.den = self.den.copy()

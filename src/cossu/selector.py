@@ -28,7 +28,6 @@ from .encoding import (
     Model,
     SequenceScorer,
     _check_precision,
-    quantize_weight,
     rule_content_code_length,
     universal_int_code_length,
     weight_code_length,
@@ -81,11 +80,11 @@ class MiningConfig:
 class _TableBits:
     """Rule-table bits for a scorer state, with per-rule content caching.
 
-    Weights are scaled into (0, 1) and rounded to the working precision
-    before pricing, so the comparison metric matches what serialization
-    will pay. The symbol part of each entry never changes and is cached;
-    so is the price of each rounded weight, as few distinct rounded values
-    occur in a run.
+    Weights are scaled into (0, 1) and priced at the working precision,
+    as serialization will pay. Each entry's symbol part is cached, and so
+    is the price of each scaled weight, keyed on the scaled value itself:
+    `weight_code_length` rounds it, and rounding a rounded weight leaves
+    it as it is, so this is the price of the weight serialization writes.
     """
 
     def __init__(self, freq: FrequencyTable, precision: int):
@@ -102,11 +101,10 @@ class _TableBits:
         return bits
 
     def _weight_bits(self, scaled: float) -> float:
-        wq = quantize_weight(scaled, self.precision)
-        bits = self._weight.get(wq)
+        bits = self._weight.get(scaled)
         if bits is None:
-            bits = weight_code_length(wq, self.precision)
-            self._weight[wq] = bits
+            bits = weight_code_length(scaled, self.precision)
+            self._weight[scaled] = bits
         return bits
 
     def _entries(

@@ -365,6 +365,19 @@ class TestScorer:
         assert scorer.data_bits == before
         assert twin.data_bits != before
 
+    def test_rows_of_a_long_consequent(self):
+        """`a -> a` x 20 keys its split by q * 21 + p, past a uint8 byte,
+        though its p and q fit one: its row must match the positions, and
+        the scorer's data bits the model's."""
+        s = char_seq("a" * 60 + "baab")
+        a = s.alphabet.id_of("a")
+        scorer = SequenceScorer(Model.empty(frequencies(s)), s)
+        scorer.add_rule(Rule((a,), (a,) * 20), 0.7)
+        _assert_rows_match_activity(scorer)
+        assert scorer.data_bits == pytest.approx(
+            data_code_length(scorer.model(), s), abs=1e-9
+        )
+
 
 _STEPS = st.sampled_from(["add", "set", "remove", "clone", "back"])
 _WEIGHTS = st.floats(0.05, 20.0)
@@ -394,7 +407,7 @@ def _assert_rows_match_activity(scorer: SequenceScorer) -> None:
     assert np.bincount(scorer._cls, minlength=g).min() > 0
     for i, rule in enumerate(scorer.rules):
         want_p, want_q = _reference_activity(ids, rule)
-        row_p, row_q = scorer._row(i)
+        row_p, row_q = scorer._rows[i]
         assert row_p.size == row_q.size == g
         assert np.array_equal(row_p[scorer._cls], want_p)
         assert np.array_equal(row_q[scorer._cls], want_q)

@@ -21,7 +21,12 @@ from cossu import (
     total_dl,
 )
 from cossu import optimize, parse_rule, selector
-from cossu.encoding import SequenceScorer
+from cossu.encoding import (
+    MAX_PRECISION,
+    SequenceScorer,
+    quantize_weight,
+    weight_code_length,
+)
 from cossu.rules import candidate_gains
 
 from conftest import char_seq, random_seq
@@ -372,11 +377,23 @@ def _noisy_period_7() -> Sequence:
     return Sequence(Alphabet(str(i) for i in range(7)), ids)
 
 
+def _markov_order_2(n: int) -> Sequence:
+    """An order-2 Markov chain over s0..s7 with sparse Dirichlet rows."""
+    rng = np.random.default_rng(7)
+    T = rng.dirichlet(np.full(8, 0.2), size=(8, 8))
+    x, u = [0, 1], rng.random(n)
+    for t in range(2, n):
+        c = np.cumsum(T[x[-2], x[-1]])
+        x.append(int(np.searchsorted(c, u[t] * c[-1])))
+    return Sequence(Alphabet(f"s{i}" for i in range(8)), x)
+
+
 #: Mined rule sets, total bits and `done` counts (in the order of
 #: selector.COUNTS) of fixed inputs, so that a change to mining that should
 #: leave models and the work that finds them alone is caught. The planted
 #: inputs are the training parts of the benchmark's first planted-k5 and
 #: planted-k20 sequences at seed 301, and its k5 class-y training sequence.
+#: The order-2 Markov input is the only one that prunes.
 #: A change that alters models on purpose updates these values and
 #: accounts for every change.
 PINNED = {
@@ -437,6 +454,33 @@ PINNED = {
         4634.042191011744,
         (134, 1, 0, 145, 5005),
     ),
+    "markov-order-2": (
+        lambda: _markov_order_2(3000),
+        {
+            "s1 s3 -> s7",
+            "s2 -> s5",
+            "s2 s4 -> s2",
+            "s2 s5 -> s2",
+            "s2 s6 -> s7",
+            "s3 s3 -> s6",
+            "s3 s7 -> s3 s5",
+            "s4 s3 -> s3",
+            "s4 s5 -> s6",
+            "s4 s6 -> s4 s7",
+            "s4 s7 -> s5",
+            "s5 s3 -> s7 s3",
+            "s6 s0 -> s7",
+            "s6 s2 -> s7 s1 s3",
+            "s6 s6 -> s0",
+            "s7 -> s1 s3 s7",
+            "s7 s1 -> s3 s7 s3",
+            "s7 s2 -> s6",
+            "s7 s4 -> s3",
+            "s7 s6 -> s5 s3 s7",
+        },
+        6957.664557166325,
+        (951, 26, 6, 1866, 75117),
+    ),
 }
 
 
@@ -451,3 +495,21 @@ def test_pinned_models(name):
     assert total_dl(model, seq).total == pytest.approx(bits, rel=1e-9)
     (done,) = [e for e in events if e["event"] == "done"]
     assert tuple(done[c] for c in selector.COUNTS) == counts
+
+
+@pytest.mark.parametrize("precision", range(1, MAX_PRECISION + 1))
+def test_weight_price_is_the_rounded_weights(precision):
+    """The table prices a scaled weight as `weight_code_length` of the
+    weight rounded to the precision, since rounding is idempotent: at
+    random weights, at half-step ties and at both clamps."""
+    rng = np.random.default_rng(precision)
+    step = 10.0**-precision
+    ties = (np.arange(1, 10) + 0.5) * step
+    weights = np.concatenate(
+        [rng.random(200), ties, [0.00005, 1e-12, 1 - 1e-12]]
+    )
+    table_bits = selector._TableBits(frequencies(char_seq("ab")), precision)
+    for x in weights.tolist():
+        q = quantize_weight(x, precision)
+        assert quantize_weight(q, precision) == q
+        assert table_bits._weight_bits(x) == weight_code_length(q, precision)
